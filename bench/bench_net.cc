@@ -258,7 +258,7 @@ int Main(int argc, char** argv) {
   const std::vector<net::WorkerAddress> shard_addresses = {
       {"127.0.0.1", worker0.port()}, {"127.0.0.1", worker1.port()}};
   net::RouterOptions legacy_options;
-  legacy_options.two_phase = false;
+  legacy_options.shard_sigma = 1;  // One phase: no count phase to run.
   net::RouterBackend legacy_router(shard_addresses, legacy_options);
   bool router_parity = true;
   std::vector<double> router_ms;

@@ -41,33 +41,34 @@ Dataset::Dataset(FlatDatabase raw_db, Vocabulary vocab, Hierarchy raw_hierarchy,
 Dataset::Dataset(SnapshotTag, const std::string& path, LoadMode mode)
     : id_(NextDatasetId()), raw_hierarchy_(Hierarchy::Flat(0)) {
   Stopwatch timer;
-  DatasetSnapshot snap;
-  if (mode == LoadMode::kMmap) {
-    try {
-      map_ = MmapFile::Open(path);
-    } catch (const IoError& e) {
-      // Match the copy path's contract: a missing/unreadable file is an
-      // ApiError; everything past open stays a typed IoError.
-      throw ApiError("cannot open snapshot file: " + path + " (" + e.what() +
-                     ")");
-    }
-    snap = ReadDatasetSnapshotMapped(map_.data(), map_.size());
-    if (!snap.ranked_corpus.borrowed()) {
-      // Nothing borrows the mapping (v1 container, or a big-endian host
-      // where the mapped reader copies): drop it rather than keep the
-      // whole file resident for no benefit.
-      map_ = MmapFile();
-    }
+  // Both modes parse the same way: the file's bytes — mapped, or read once
+  // into one aligned buffer — are owned by map_ and borrowed in place.
+  try {
+    map_ = mode == LoadMode::kMmap ? MmapFile::Open(path)
+                                   : MmapFile::Read(path);
+  } catch (const IoError& e) {
+    // A missing/unreadable file is an ApiError; everything past open is a
+    // typed IoError.
+    throw ApiError("cannot open snapshot file: " + path + " (" + e.what() +
+                   ")");
+  }
+  DatasetSnapshot snap = ReadDatasetSnapshot(map_.data(), map_.size());
+  if (!snap.ranked_corpus.borrowed()) {
+    // A big-endian host: the reader copied and verified everything, so
+    // nothing borrows the bytes — drop them rather than keep the whole
+    // file resident for no benefit.
+    map_ = MmapFile();
+  } else if (mmap_backed()) {
+    deferred_ = std::move(snap.deferred);  // Paid in VerifyCorpus.
   } else {
-    std::ifstream file(path, std::ios::binary);
-    if (!file) {
-      throw ApiError("cannot open snapshot file: " + path);
-    }
-    snap = ReadDatasetSnapshot(file);
+    // The bytes are a private heap copy (always, for kCopy): verify
+    // everything before returning, as a copying load promises.
+    VerifySnapshotCorpus(snap.deferred, snap.ranked_corpus,
+                         snap.vocabulary.NumItems());
   }
 
-  // Vocabulary and raw hierarchy come back whole (after a mapped load the
-  // name bytes are views into map_, which this Dataset owns and outlives).
+  // Vocabulary and raw hierarchy come back whole (the name bytes may be
+  // views into map_, which this Dataset owns and outlives).
   vocab_ = std::move(snap.vocabulary);
   try {
     raw_hierarchy_ = vocab_.BuildHierarchy();
@@ -106,13 +107,12 @@ Dataset::Dataset(SnapshotTag, const std::string& path, LoadMode mode)
     throw ApiError("snapshot rank order is not hierarchy-monotone: " + path);
   }
   pre_.database = std::move(snap.ranked_corpus);
-  deferred_ = std::move(snap.deferred);
   stats_ = snap.stats;
 
   if (mode == LoadMode::kCopy) {
-    // Copy mode keeps the v1 contract: everything fully materialized at
-    // load. Mmap mode defers this O(corpus) pass until something actually
-    // asks for the raw corpus (most mining paths never do).
+    // Copy mode materializes everything at load. Mmap mode defers this
+    // O(corpus) pass until something actually asks for the raw corpus
+    // (most mining paths never do).
     BuildRawCorpus();
     std::call_once(raw_once_, [] {});
   }
@@ -138,31 +138,8 @@ const FlatDatabase& Dataset::raw_database() const {
 }
 
 void Dataset::VerifyCorpus() const {
-  for (const SnapshotDeferredCheck& check : deferred_) {
-    if (FnvHashBytes(check.data, check.length) != check.checksum) {
-      throw IoError(IoErrorKind::kChecksumMismatch, check.file_offset,
-                    std::string("snapshot: section ") + check.what +
-                        " failed checksum verification");
-    }
-  }
-  if (!map_.valid()) return;
-  // The structural corpus checks a mapped load skipped (a copying load ran
-  // them in ReadDatasetSnapshot).
-  const FlatDatabase& db = pre_.database;
-  const uint64_t* offsets = db.offset_table();
-  for (size_t i = 1; i <= db.size(); ++i) {
-    if (offsets[i] < offsets[i - 1]) {
-      throw IoError(IoErrorKind::kMalformed, 0,
-                    "snapshot: corpus offset table is not monotone");
-    }
-  }
-  const ItemId* arena = db.arena();
-  const size_t n = vocab_.NumItems();
-  for (size_t i = 0; i < db.TotalItems(); ++i) {
-    if (arena[i] == kInvalidItem || arena[i] > n) {
-      throw IoError(IoErrorKind::kMalformed, 0,
-                    "snapshot: corpus item rank out of range");
-    }
+  if (mmap_backed()) {
+    VerifySnapshotCorpus(deferred_, pre_.database, vocab_.NumItems());
   }
 }
 

@@ -247,10 +247,10 @@ class Dataset {
 
   /// How FromSnapshot brings the file into memory.
   enum class LoadMode {
-    /// Stream the file into owned arenas, verifying every checksum and the
-    /// full corpus structure eagerly; the raw corpus is reconstructed up
-    /// front. Always available; the only mode that decodes v1 containers
-    /// without an mmap.
+    /// Read the file once into one owned, aligned buffer and borrow from
+    /// it exactly as kMmap borrows from the mapping, then verify every
+    /// checksum and the full corpus structure before returning; the raw
+    /// corpus is reconstructed up front. Always available.
     kCopy,
     /// mmap the file read-only and *borrow* the big arrays in place (v2
     /// containers on little-endian hosts): cold start is O(page faults) in
@@ -260,8 +260,8 @@ class Dataset {
     /// VerifyCorpus() to run them on demand. The raw corpus is rebuilt
     /// lazily on first raw_database()/flat_preprocessed() use. The Dataset
     /// owns the mapping, so every borrowed view stays valid for its
-    /// lifetime. v1 containers and big-endian hosts silently degrade to a
-    /// full copy with nothing deferred.
+    /// lifetime. Big-endian hosts silently degrade to a full copy with
+    /// nothing deferred.
     kMmap,
   };
 
@@ -316,8 +316,9 @@ class Dataset {
   size_t NumItems() const { return vocab_.NumItems(); }
 
   /// True iff this Dataset borrows a live snapshot mapping (a
-  /// LoadMode::kMmap load of a v2 container on a little-endian host).
-  bool mmap_backed() const { return map_.valid(); }
+  /// LoadMode::kMmap load on a little-endian host with mmap; elsewhere
+  /// kMmap behaves exactly like kCopy).
+  bool mmap_backed() const { return map_.mapped(); }
 
   /// Runs every integrity check a mapped load deferred: the corpus
   /// sections' FNV checksums, offset-table monotonicity, and item-rank
@@ -356,8 +357,9 @@ class Dataset {
   void BuildRawCorpus() const;
 
   uint64_t id_;
-  /// Declared first so it is destroyed *last*: vocab_ and pre_ may borrow
-  /// the mapped bytes and must die before the mapping is unmapped.
+  /// The snapshot bytes (mapped, or the copy-load buffer). Declared first
+  /// so it is destroyed *last*: vocab_ and pre_ may borrow these bytes and
+  /// must die before they are released.
   MmapFile map_;
   Vocabulary vocab_;
   Hierarchy raw_hierarchy_;

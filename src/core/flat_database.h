@@ -149,17 +149,17 @@ class FlatDatabase {
   const uint64_t* offset_table() const { return offset_table_; }
   bool borrowed() const { return borrowed_; }
 
-  /// A non-owning database over CSR buffers someone else keeps alive (the
-  /// snapshot mmap path): `offsets` must have `num_sequences + 1` entries.
+  /// A non-owning database over CSR buffers someone else keeps alive (a
+  /// snapshot's bytes): `offsets` must have `num_sequences + 1` entries.
   /// Validates only the two boundary entries (offsets[0] == 0 and
   /// offsets[num_sequences] == total_items — two page touches); interior
-  /// monotonicity is the mapping owner's deferred-verification problem
-  /// (Dataset::VerifyCorpus). Throws std::invalid_argument on a boundary
+  /// monotonicity is the buffer owner's deferred-verification problem
+  /// (VerifySnapshotCorpus). Throws std::invalid_argument on a boundary
   /// mismatch.
   static FlatDatabase Borrowed(const ItemId* arena, size_t total_items,
                                const uint64_t* offsets, size_t num_sequences);
 
-  /// Adopts already-built CSR buffers (the streaming snapshot reader fills
+  /// Adopts already-built CSR buffers (the copying snapshot decode fills
   /// the vectors directly — no intermediate copy). Same boundary
   /// validation as Borrowed.
   static FlatDatabase FromBuffers(std::vector<ItemId> arena,

@@ -1,8 +1,8 @@
 #include "io/snapshot.h"
 
+#include <cstdint>
 #include <cstring>
 #include <deque>
-#include <istream>
 #include <ostream>
 #include <stdexcept>
 #include <string_view>
@@ -10,7 +10,6 @@
 
 #include "io/io_error.h"
 #include "util/hash.h"
-#include "util/varint.h"
 
 namespace lash {
 
@@ -18,7 +17,7 @@ namespace {
 
 constexpr char kMagic[8] = {'L', 'A', 'S', 'H', 'S', 'N', 'A', 'P'};
 
-// v2 section ids (see the layout comment in snapshot.h). New sections may
+// Section ids (see the layout comment in snapshot.h). New sections may
 // be added freely (readers skip unknown ids); changing the encoding of an
 // existing section requires a version bump.
 enum SectionId : uint32_t {
@@ -29,15 +28,6 @@ enum SectionId : uint32_t {
   kStats = 5,          // u64 x 4.
   kRankOrder = 6,      // u32 n; u32 rank_of_raw[n + 1].
   kCorpusArena = 7,    // u64 total_items; u32 items[total_items].
-};
-
-// v1 section ids (varint payloads; the legacy decoder below).
-enum V1SectionId : uint32_t {
-  kV1Vocabulary = 1,
-  kV1Hierarchy = 2,
-  kV1Corpus = 3,
-  kV1Flist = 4,
-  kV1Stats = 5,
 };
 
 constexpr size_t kHeaderFixedBytes = 13;   // magic + version byte + u32 count.
@@ -80,10 +70,6 @@ void AppendLeU64(std::string* out, uint64_t v) {
   }
 }
 
-void PutFixed64(std::string* out, uint64_t value) { AppendLeU64(out, value); }
-
-uint64_t GetFixed64(const char* data) { return LoadLeU64(data); }
-
 /// The LE file bytes of `count` integers: on little-endian hosts, a view
 /// straight over the array (the zero-copy write path); elsewhere an owned
 /// byteswapped copy parked in `keeper`.
@@ -112,7 +98,7 @@ uint64_t AlignUp(uint64_t offset) {
   return (offset + kSectionAlignment - 1) & ~uint64_t{kSectionAlignment - 1};
 }
 
-// ---- v2 writer -----------------------------------------------------------
+// ---- writer ----------------------------------------------------------------
 
 struct SectionOut {
   uint32_t id = 0;
@@ -134,13 +120,12 @@ void FinishSection(SectionOut* section) {
   section->checksum = sum.Digest();
 }
 
-// ---- v2 shared section parsers ------------------------------------------
+// ---- section parsers -----------------------------------------------------
 //
-// Each parses one section payload that is fully in memory. With `borrow`,
-// arrays are reinterpreted in place (callers guarantee a little-endian
-// host and 64-byte-aligned, outliving memory — the mmap path); without it,
-// elements are copied through the alignment-free LE loads (the streaming
-// and big-endian paths, where `p` may be an unaligned temp buffer).
+// Each parses one section payload inside the container buffer. With
+// `borrow`, arrays are reinterpreted in place (the reader has checked for a
+// little-endian host and an aligned buffer that the caller keeps alive);
+// without it, elements are copied through the alignment-free LE loads.
 
 [[noreturn]] void SectionMalformed(uint64_t file_offset, const char* what,
                                    const std::string& message) {
@@ -247,56 +232,50 @@ DatasetStats ParseStatsSection(const char* p, uint64_t len,
   return stats;
 }
 
-/// Cross-section invariants shared by every v2 load path. Corpus interior
-/// checks (offset monotonicity, item ranks in range) are O(corpus bytes)
-/// and run only when `check_corpus` — the copying loads; a mapped load
-/// defers them to Dataset::VerifyCorpus alongside the corpus checksums.
-void ValidateSnapshotSemantics(const DatasetSnapshot& snap, bool check_corpus) {
+void VerifyChecksum(const SnapshotDeferredCheck& check) {
+  if (FnvHashBytes(check.data, check.length) != check.checksum) {
+    throw IoError(IoErrorKind::kChecksumMismatch, check.file_offset,
+                  std::string("snapshot: section ") + check.what +
+                      " failed checksum verification");
+  }
+}
+
+[[noreturn]] void SnapshotMalformed(const std::string& message) {
+  throw IoError(IoErrorKind::kMalformed, 0, "snapshot: " + message);
+}
+
+/// Cross-section invariants of the small sections. The O(corpus bytes)
+/// corpus checks live in VerifySnapshotCorpus.
+void ValidateSnapshotSemantics(const DatasetSnapshot& snap) {
   const size_t n = snap.vocabulary.NumItems();
-  auto malformed = [](const std::string& message) -> void {
-    throw IoError(IoErrorKind::kMalformed, 0, "snapshot: " + message);
-  };
   if (snap.freq.size() != n + 1 || snap.rank_of_raw.size() != n + 1) {
-    malformed("f-list / rank-order sizes disagree with vocabulary");
+    SnapshotMalformed("f-list / rank-order sizes disagree with vocabulary");
   }
   if (n > 0) {
-    if (snap.freq.data()[0] != 0) malformed("f-list slot 0 is not zero");
+    if (snap.freq.data()[0] != 0) {
+      SnapshotMalformed("f-list slot 0 is not zero");
+    }
     for (size_t r = 2; r <= n; ++r) {
       // NumFrequent binary-searches the f-list assuming non-increasing
       // frequencies over ranks; a violation would silently mis-mine.
       if (snap.freq.data()[r] > snap.freq.data()[r - 1]) {
-        malformed("f-list is not non-increasing over ranks");
+        SnapshotMalformed("f-list is not non-increasing over ranks");
       }
     }
     std::vector<char> seen(n + 1, 0);
     for (size_t raw = 1; raw <= n; ++raw) {
       const ItemId rank = snap.rank_of_raw.data()[raw];
       if (rank == kInvalidItem || rank > n || seen[rank]) {
-        malformed("rank order is not a permutation of 1..n");
+        SnapshotMalformed("rank order is not a permutation of 1..n");
       }
       seen[rank] = 1;
     }
   }
-  if (check_corpus) {
-    const FlatDatabase& db = snap.ranked_corpus;
-    const uint64_t* offsets = db.offset_table();
-    for (size_t i = 1; i <= db.size(); ++i) {
-      if (offsets[i] < offsets[i - 1]) {
-        malformed("corpus offset table is not monotone");
-      }
-    }
-    const ItemId* arena = db.arena();
-    for (size_t i = 0; i < db.TotalItems(); ++i) {
-      if (arena[i] == kInvalidItem || arena[i] > n) {
-        malformed("corpus item rank out of range");
-      }
-    }
-  }
 }
 
-// ---- v2 section table ----------------------------------------------------
+// ---- section table -------------------------------------------------------
 
-struct V2Entry {
+struct TableEntry {
   uint32_t id;
   uint32_t flags;
   uint64_t offset;
@@ -305,14 +284,14 @@ struct V2Entry {
 };
 
 /// Decodes and validates the table entries from their raw bytes.
-/// `total_size` is the container size (for bounds); both readers know it.
-std::vector<V2Entry> ParseV2Entries(const char* table, uint32_t count,
-                                    uint64_t total_size) {
-  std::vector<V2Entry> entries;
+/// `total_size` is the container size (for bounds).
+std::vector<TableEntry> ParseTableEntries(const char* table, uint32_t count,
+                                          uint64_t total_size) {
+  std::vector<TableEntry> entries;
   entries.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     const char* p = table + kTableEntryBytes * i;
-    V2Entry e;
+    TableEntry e;
     e.id = LoadLeU32(p);
     e.flags = LoadLeU32(p + 4);
     e.offset = LoadLeU64(p + 8);
@@ -334,16 +313,17 @@ std::vector<V2Entry> ParseV2Entries(const char* table, uint32_t count,
   return entries;
 }
 
-const V2Entry* FindEntry(const std::vector<V2Entry>& entries, uint32_t id) {
-  for (const V2Entry& e : entries) {
+const TableEntry* FindEntry(const std::vector<TableEntry>& entries,
+                            uint32_t id) {
+  for (const TableEntry& e : entries) {
     if (e.id == id) return &e;
   }
   return nullptr;
 }
 
-const V2Entry& RequireEntry(const std::vector<V2Entry>& entries, uint32_t id,
-                            const char* what) {
-  const V2Entry* e = FindEntry(entries, id);
+const TableEntry& RequireEntry(const std::vector<TableEntry>& entries,
+                               uint32_t id, const char* what) {
+  const TableEntry* e = FindEntry(entries, id);
   if (e == nullptr) {
     throw IoError(IoErrorKind::kMalformed, 0,
                   std::string("snapshot: missing required section ") + what);
@@ -351,230 +331,9 @@ const V2Entry& RequireEntry(const std::vector<V2Entry>& entries, uint32_t id,
   return *e;
 }
 
-// ---- v1 legacy codec -----------------------------------------------------
-
-std::string EncodeV1Vocabulary(const Vocabulary& vocab) {
-  std::string out;
-  const size_t n = vocab.NumItems();
-  PutVarint64(&out, n);
-  for (size_t id = 1; id <= n; ++id) {
-    const std::string_view name = vocab.Name(static_cast<ItemId>(id));
-    PutVarint64(&out, name.size());
-    out.append(name);
-  }
-  return out;
-}
-
-std::string EncodeV1Hierarchy(const Vocabulary& vocab) {
-  std::string out;
-  const size_t n = vocab.NumItems();
-  PutVarint64(&out, n);
-  for (size_t id = 1; id <= n; ++id) {
-    ItemId parent = vocab.Parent(static_cast<ItemId>(id));
-    PutVarint32(&out, parent == kInvalidItem ? 0 : parent);
-  }
-  return out;
-}
-
-std::string EncodeV1Corpus(const FlatDatabase& db) {
-  std::string out;
-  PutVarint64(&out, db.size());
-  PutVarint64(&out, db.TotalItems());
-  for (SequenceView t : db) {
-    PutVarint64(&out, t.size());
-    for (ItemId w : t) PutVarint32(&out, w);
-  }
-  return out;
-}
-
-std::string EncodeV1Flist(const ArrayRef<Frequency>& freq,
-                          const ArrayRef<ItemId>& rank_of_raw) {
-  std::string out;
-  PutVarint64(&out, freq.size() - 1);
-  for (size_t r = 1; r < freq.size(); ++r) {
-    PutVarint64(&out, freq[r]);
-  }
-  for (size_t raw = 1; raw < rank_of_raw.size(); ++raw) {
-    PutVarint32(&out, rank_of_raw[raw]);
-  }
-  return out;
-}
-
-std::string EncodeV1Stats(const DatasetStats& stats) {
-  std::string out;
-  PutVarint64(&out, stats.num_sequences);
-  PutVarint64(&out, stats.total_items);
-  PutVarint64(&out, stats.max_length);
-  PutVarint64(&out, stats.unique_items);
-  return out;
-}
-
-/// Decodes a whole v1 container held in memory (the pre-v2 reader,
-/// preserved as the compatibility fallback; always copies).
-DatasetSnapshot DecodeV1(std::string_view data) {
-  ByteReader header(data, "snapshot header");
-  (void)header.ReadBytes(sizeof(kMagic), "magic");
-  (void)header.ReadVarint32("version");  // Caller sniffed it as 1.
-  const uint32_t num_sections = header.ReadVarint32("section count");
-
-  struct TableEntry {
-    uint32_t id;
-    uint64_t offset;
-    uint64_t length;
-    uint64_t checksum;
-  };
-  std::vector<TableEntry> table;
-  table.reserve(num_sections);
-  for (uint32_t i = 0; i < num_sections; ++i) {
-    TableEntry e;
-    e.id = header.ReadVarint32("section id");
-    e.offset = header.ReadVarint64("section offset");
-    e.length = header.ReadVarint64("section length");
-    e.checksum = GetFixed64(header.ReadBytes(8, "section checksum").data());
-    if (e.offset > data.size() || e.length > data.size() - e.offset) {
-      throw IoError(IoErrorKind::kTruncated, header.pos(),
-                    "snapshot: section " + std::to_string(e.id) +
-                        " extends past end of file");
-    }
-    table.push_back(e);
-  }
-
-  auto find = [&](uint32_t id) -> const TableEntry* {
-    for (const TableEntry& e : table) {
-      if (e.id == id) return &e;
-    }
-    return nullptr;
-  };
-  // Sections are checksummed and parsed *in place* over `data` (a bounded
-  // string_view window) — no multi-MB substring copy of the corpus section.
-  auto load = [&](uint32_t id, const char* what) {
-    const TableEntry* e = find(id);
-    if (e == nullptr) {
-      throw IoError(IoErrorKind::kMalformed, 0,
-                    std::string("snapshot: missing required section ") + what);
-    }
-    std::string_view payload(data.data() + e->offset,
-                             static_cast<size_t>(e->length));
-    const uint64_t actual = FnvHashBytes(payload.data(), payload.size());
-    if (actual != e->checksum) {
-      throw IoError(IoErrorKind::kChecksumMismatch, e->offset,
-                    std::string("snapshot: section ") + what +
-                        " failed checksum verification");
-    }
-    return payload;
-  };
-
-  DatasetSnapshot snap;
-
-  std::vector<std::string> names(1);
-  {
-    const std::string_view payload = load(kV1Vocabulary, "vocabulary");
-    ByteReader r(payload, "snapshot vocabulary section",
-                 find(kV1Vocabulary)->offset);
-    const uint64_t n = r.ReadVarint64("item count");
-    if (n > payload.size()) r.Malformed("item count exceeds section size");
-    names.reserve(n + 1);
-    for (uint64_t i = 0; i < n; ++i) {
-      const uint64_t len = r.ReadVarint64("name length");
-      names.push_back(r.ReadBytes(len, "name bytes"));
-    }
-  }
-  const size_t n = names.size() - 1;
-  snap.vocabulary.Reserve(n);
-  for (size_t id = 1; id <= n; ++id) {
-    if (snap.vocabulary.AddItem(names[id]) != static_cast<ItemId>(id)) {
-      throw IoError(IoErrorKind::kMalformed, find(kV1Vocabulary)->offset,
-                    "snapshot vocabulary section: duplicate name '" +
-                        names[id] + "'");
-    }
-  }
-
-  {
-    const std::string_view payload = load(kV1Hierarchy, "hierarchy");
-    ByteReader r(payload, "snapshot hierarchy section",
-                 find(kV1Hierarchy)->offset);
-    const uint64_t count = r.ReadVarint64("item count");
-    if (count != n) {
-      r.Malformed("hierarchy item count disagrees with vocabulary");
-    }
-    for (uint64_t id = 1; id <= count; ++id) {
-      const uint32_t p = r.ReadVarint32("parent id");
-      if (p > n || p == id) r.Malformed("parent id out of range or self");
-      if (p != 0) {
-        snap.vocabulary.SetParent(static_cast<ItemId>(id), p);
-      }
-    }
-  }
-
-  {
-    const std::string_view payload = load(kV1Corpus, "corpus");
-    ByteReader r(payload, "snapshot corpus section", find(kV1Corpus)->offset);
-    const uint64_t count = r.ReadVarint64("sequence count");
-    const uint64_t total_items = r.ReadVarint64("total item count");
-    if (count > payload.size() || total_items > payload.size()) {
-      r.Malformed("corpus counts exceed section size");
-    }
-    snap.ranked_corpus.Reserve(count, total_items);
-    for (uint64_t i = 0; i < count; ++i) {
-      const uint64_t len = r.ReadVarint64("sequence length");
-      if (len > payload.size()) r.Malformed("sequence length out of range");
-      ItemId* items = snap.ranked_corpus.AppendSlot(len);
-      for (uint64_t j = 0; j < len; ++j) {
-        const uint32_t rank = r.ReadVarint32("item rank");
-        if (rank == kInvalidItem || rank > n) {
-          r.Malformed("item rank out of range");
-        }
-        items[j] = rank;
-      }
-    }
-  }
-
-  {
-    const std::string_view payload = load(kV1Flist, "f-list");
-    ByteReader r(payload, "snapshot f-list section", find(kV1Flist)->offset);
-    const uint64_t count = r.ReadVarint64("rank count");
-    if (count != n) r.Malformed("f-list rank count disagrees with vocabulary");
-    std::vector<Frequency> freq(n + 1, 0);
-    for (uint64_t rank = 1; rank <= count; ++rank) {
-      freq[rank] = r.ReadVarint64("frequency");
-      if (rank > 1 && freq[rank] > freq[rank - 1]) {
-        r.Malformed("f-list is not non-increasing over ranks");
-      }
-    }
-    std::vector<ItemId> rank_of_raw(n + 1, kInvalidItem);
-    std::vector<char> seen(n + 1, 0);
-    for (uint64_t raw = 1; raw <= count; ++raw) {
-      const uint32_t rank = r.ReadVarint32("rank of raw id");
-      if (rank == kInvalidItem || rank > n || seen[rank]) {
-        r.Malformed("rank order is not a permutation of 1..n");
-      }
-      seen[rank] = 1;
-      rank_of_raw[raw] = rank;
-    }
-    snap.freq = std::move(freq);
-    snap.rank_of_raw = std::move(rank_of_raw);
-  }
-
-  {
-    const std::string_view payload = load(kV1Stats, "stats");
-    ByteReader r(payload, "snapshot stats section", find(kV1Stats)->offset);
-    snap.stats.num_sequences = r.ReadVarint64("num sequences");
-    snap.stats.total_items = r.ReadVarint64("total items");
-    snap.stats.max_length = r.ReadVarint64("max length");
-    snap.stats.unique_items = r.ReadVarint64("unique items");
-    snap.stats.avg_length =
-        snap.stats.num_sequences == 0
-            ? 0.0
-            : static_cast<double>(snap.stats.total_items) /
-                  static_cast<double>(snap.stats.num_sequences);
-  }
-
-  return snap;
-}
-
-/// Sniffs the leading magic + version. Throws kBadMagic / kTruncated /
-/// kBadVersion; returns 1 or 2.
-uint32_t SniffVersion(const char* data, size_t size) {
+/// Checks the leading magic + version. Throws kBadMagic / kTruncated /
+/// kBadVersion.
+void CheckMagicAndVersion(const char* data, size_t size) {
   if (size < sizeof(kMagic) ||
       std::memcmp(data, kMagic, sizeof(kMagic)) != 0) {
     throw IoError(IoErrorKind::kBadMagic, 0,
@@ -584,21 +343,23 @@ uint32_t SniffVersion(const char* data, size_t size) {
     throw IoError(IoErrorKind::kTruncated, size,
                   "snapshot: cannot decode version");
   }
+  // Every snapshot is written by this tree, so only the current version is
+  // read: older containers are re-saved, newer ones come from the future.
   const unsigned char version = static_cast<unsigned char>(data[8]);
-  // Versions 1 and 2 are single-byte varints; anything else (including a
-  // multi-byte varint continuation) is from the future.
-  if (version != 1 && version != kSnapshotVersion) {
+  if (version != kSnapshotVersion) {
     throw IoError(IoErrorKind::kBadVersion, 8,
                   "snapshot: version " + std::to_string(version) +
-                      " is newer than supported version " +
+                      " is not the supported version " +
                       std::to_string(kSnapshotVersion));
   }
-  return version;
 }
 
-// ---- v2 mapped reader ----------------------------------------------------
+}  // namespace
 
-DatasetSnapshot ParseV2Mapped(const char* data, size_t size) {
+// ---- public API ----------------------------------------------------------
+
+DatasetSnapshot ReadDatasetSnapshot(const char* data, size_t size) {
+  CheckMagicAndVersion(data, size);
   if (size < kHeaderFixedBytes) {
     throw IoError(IoErrorKind::kTruncated, size,
                   "snapshot: cannot decode section count");
@@ -612,56 +373,60 @@ DatasetSnapshot ParseV2Mapped(const char* data, size_t size) {
     throw IoError(IoErrorKind::kTruncated, size,
                   "snapshot: section table extends past end of file");
   }
-  const std::vector<V2Entry> entries =
-      ParseV2Entries(data + kHeaderFixedBytes, count, size);
+  const std::vector<TableEntry> entries =
+      ParseTableEntries(data + kHeaderFixedBytes, count, size);
 
-  // Borrow only on little-endian hosts: the on-disk arrays are LE, so a BE
-  // host must decode by copying (the interface stays identical).
-  const bool borrow = HostIsLittleEndian();
+  // Borrow only on little-endian hosts from a buffer whose sections are
+  // naturally aligned (every payload sits at a 64-byte file offset, so an
+  // 8-aligned base suffices): the on-disk arrays are LE, so a BE host or an
+  // unaligned buffer decodes by copying (the interface stays identical).
+  const bool borrow =
+      HostIsLittleEndian() &&
+      reinterpret_cast<uintptr_t>(data) % alignof(uint64_t) == 0;
   DatasetSnapshot snap;
 
-  auto verify = [&](const V2Entry& e, const char* what) {
-    if (FnvHashBytes(data + e.offset, e.length) != e.checksum) {
-      throw IoError(IoErrorKind::kChecksumMismatch, e.offset,
-                    std::string("snapshot: section ") + what +
-                        " failed checksum verification");
-    }
+  auto check_of = [&](const TableEntry& e, const char* what) {
+    return SnapshotDeferredCheck{what, data + e.offset, e.length, e.checksum,
+                                 e.offset};
+  };
+  auto verify = [&](const TableEntry& e, const char* what) {
+    VerifyChecksum(check_of(e, what));
   };
 
-  const V2Entry& ev = RequireEntry(entries, kVocabulary, "vocabulary");
+  const TableEntry& ev = RequireEntry(entries, kVocabulary, "vocabulary");
   verify(ev, "vocabulary");
   snap.vocabulary =
       ParseVocabularySection(data + ev.offset, ev.length, ev.offset, borrow);
   const size_t n = snap.vocabulary.NumItems();
 
-  const V2Entry& eh = RequireEntry(entries, kHierarchy, "hierarchy");
+  const TableEntry& eh = RequireEntry(entries, kHierarchy, "hierarchy");
   verify(eh, "hierarchy");
   ApplyHierarchySection(data + eh.offset, eh.length, eh.offset,
                         &snap.vocabulary);
 
-  const V2Entry& ef = RequireEntry(entries, kFlist, "f-list");
+  const TableEntry& ef = RequireEntry(entries, kFlist, "f-list");
   verify(ef, "f-list");
   snap.freq = ParseFlistSection(data + ef.offset, ef.length, ef.offset, n,
                                 borrow);
 
-  const V2Entry& er = RequireEntry(entries, kRankOrder, "rank-order");
+  const TableEntry& er = RequireEntry(entries, kRankOrder, "rank-order");
   verify(er, "rank-order");
   snap.rank_of_raw =
       ParseRankOrderSection(data + er.offset, er.length, er.offset, n, borrow);
 
-  const V2Entry& es = RequireEntry(entries, kStats, "stats");
+  const TableEntry& es = RequireEntry(entries, kStats, "stats");
   verify(es, "stats");
   snap.stats = ParseStatsSection(data + es.offset, es.length, es.offset);
 
-  const V2Entry& eo = RequireEntry(entries, kCorpusOffsets, "corpus-offsets");
-  const V2Entry& ea = RequireEntry(entries, kCorpusArena, "corpus-arena");
+  const TableEntry& eo =
+      RequireEntry(entries, kCorpusOffsets, "corpus-offsets");
+  const TableEntry& ea = RequireEntry(entries, kCorpusArena, "corpus-arena");
   // The two corpus sections are the O(corpus bytes) ones: with the writer's
-  // lazy flag and a borrowing host, their checksums are deferred to
-  // Dataset::VerifyCorpus so the mapped load stays O(page faults).
-  auto corpus_checksum = [&](const V2Entry& e, const char* what) {
+  // lazy flag and a borrowing read, their checksums are deferred to
+  // VerifySnapshotCorpus so a mapped load stays O(page faults).
+  auto corpus_checksum = [&](const TableEntry& e, const char* what) {
     if (borrow && (e.flags & kSectionFlagLazyVerify) != 0) {
-      snap.deferred.push_back({what, data + e.offset, e.length, e.checksum,
-                               e.offset});
+      snap.deferred.push_back(check_of(e, what));
     } else {
       verify(e, what);
     }
@@ -706,189 +471,28 @@ DatasetSnapshot ParseV2Mapped(const char* data, size_t size) {
     SectionMalformed(eo.offset, "corpus", e.what());
   }
 
-  ValidateSnapshotSemantics(snap, /*check_corpus=*/!borrow);
+  ValidateSnapshotSemantics(snap);
+  // A copy owns its corpus, so nothing is left for the caller to verify.
+  if (!borrow) VerifySnapshotCorpus({}, snap.ranked_corpus, n);
   return snap;
 }
 
-// ---- v2 streaming (copying) reader ---------------------------------------
-
-[[noreturn]] void StreamTruncated(const char* what) {
-  throw IoError(IoErrorKind::kTruncated, 0,
-                std::string("snapshot: unexpected end of file reading ") +
-                    what);
+void VerifySnapshotCorpus(const std::vector<SnapshotDeferredCheck>& deferred,
+                          const FlatDatabase& ranked_corpus, size_t num_items) {
+  for (const SnapshotDeferredCheck& check : deferred) VerifyChecksum(check);
+  const uint64_t* offsets = ranked_corpus.offset_table();
+  for (size_t i = 1; i <= ranked_corpus.size(); ++i) {
+    if (offsets[i] < offsets[i - 1]) {
+      SnapshotMalformed("corpus offset table is not monotone");
+    }
+  }
+  const ItemId* arena = ranked_corpus.arena();
+  for (size_t i = 0; i < ranked_corpus.TotalItems(); ++i) {
+    if (arena[i] == kInvalidItem || arena[i] > num_items) {
+      SnapshotMalformed("corpus item rank out of range");
+    }
+  }
 }
-
-void ReadExact(std::istream& in, char* dst, size_t size, const char* what) {
-  in.read(dst, static_cast<std::streamsize>(size));
-  if (static_cast<size_t>(in.gcount()) != size) StreamTruncated(what);
-}
-
-DatasetSnapshot ParseV2Stream(std::istream& in, std::streampos base) {
-  // Learn the container size (the table bounds check needs it), then pick
-  // each section up with an absolute seek — sections are streamed straight
-  // into their destination arenas, never into a whole-file buffer.
-  in.clear();
-  if (!in.seekg(0, std::ios::end)) {
-    throw IoError(IoErrorKind::kOpenFailed, 0,
-                  "snapshot: stream is not seekable (v2 requires seeking)");
-  }
-  const uint64_t total_size = static_cast<uint64_t>(in.tellg() - base);
-
-  auto seek_to = [&](uint64_t offset, const char* what) {
-    in.clear();
-    if (!in.seekg(base + static_cast<std::streamoff>(offset))) {
-      StreamTruncated(what);
-    }
-  };
-
-  seek_to(9, "section count");
-  char count_bytes[4];
-  ReadExact(in, count_bytes, 4, "section count");
-  const uint32_t count = LoadLeU32(count_bytes);
-  if (count > kMaxSections) {
-    throw IoError(IoErrorKind::kMalformed, 9,
-                  "snapshot: unreasonable section count");
-  }
-  if (kHeaderFixedBytes + uint64_t{kTableEntryBytes} * count > total_size) {
-    throw IoError(IoErrorKind::kTruncated, total_size,
-                  "snapshot: section table extends past end of file");
-  }
-  std::string table(kTableEntryBytes * count, '\0');
-  ReadExact(in, table.data(), table.size(), "section table");
-  const std::vector<V2Entry> entries =
-      ParseV2Entries(table.data(), count, total_size);
-
-  DatasetSnapshot snap;
-
-  /// Reads + checksum-verifies a (small) section payload into a buffer.
-  auto read_small = [&](const V2Entry& e, const char* what) {
-    seek_to(e.offset, what);
-    std::string payload(e.length, '\0');
-    ReadExact(in, payload.data(), payload.size(), what);
-    if (FnvHashBytes(payload.data(), payload.size()) != e.checksum) {
-      throw IoError(IoErrorKind::kChecksumMismatch, e.offset,
-                    std::string("snapshot: section ") + what +
-                        " failed checksum verification");
-    }
-    return payload;
-  };
-
-  const V2Entry& ev = RequireEntry(entries, kVocabulary, "vocabulary");
-  {
-    const std::string payload = read_small(ev, "vocabulary");
-    snap.vocabulary = ParseVocabularySection(payload.data(), payload.size(),
-                                             ev.offset, /*borrow=*/false);
-  }
-  const size_t n = snap.vocabulary.NumItems();
-
-  const V2Entry& eh = RequireEntry(entries, kHierarchy, "hierarchy");
-  {
-    const std::string payload = read_small(eh, "hierarchy");
-    ApplyHierarchySection(payload.data(), payload.size(), eh.offset,
-                          &snap.vocabulary);
-  }
-
-  const V2Entry& ef = RequireEntry(entries, kFlist, "f-list");
-  {
-    const std::string payload = read_small(ef, "f-list");
-    snap.freq = ParseFlistSection(payload.data(), payload.size(), ef.offset,
-                                  n, /*borrow=*/false);
-  }
-
-  const V2Entry& er = RequireEntry(entries, kRankOrder, "rank-order");
-  {
-    const std::string payload = read_small(er, "rank-order");
-    snap.rank_of_raw = ParseRankOrderSection(payload.data(), payload.size(),
-                                             er.offset, n, /*borrow=*/false);
-  }
-
-  const V2Entry& es = RequireEntry(entries, kStats, "stats");
-  {
-    const std::string payload = read_small(es, "stats");
-    snap.stats = ParseStatsSection(payload.data(), payload.size(), es.offset);
-  }
-
-  // Corpus: stream the arrays straight into their destination buffers —
-  // the fix for the v1 reader's double buffering (whole-file slurp + copy).
-  // The checksum runs over the destination bytes as read; on big-endian
-  // hosts the elements are fixed up in place afterwards.
-  const V2Entry& eo = RequireEntry(entries, kCorpusOffsets, "corpus-offsets");
-  const V2Entry& ea = RequireEntry(entries, kCorpusArena, "corpus-arena");
-  if (eo.length < 8 || ea.length < 8) {
-    throw IoError(IoErrorKind::kMalformed, eo.offset,
-                  "snapshot corpus section: too short");
-  }
-
-  auto read_array_section =
-      [&](const V2Entry& e, const char* what, char* dst, uint64_t dst_bytes) {
-        // Caller seeked past the 8-byte count; dst_bytes == e.length - 8.
-        ReadExact(in, dst, dst_bytes, what);
-        FnvStream sum;
-        char head[8];
-        seek_to(e.offset, what);
-        ReadExact(in, head, 8, what);
-        sum.Update(head, 8);
-        sum.Update(dst, dst_bytes);
-        if (sum.Digest() != e.checksum) {
-          throw IoError(IoErrorKind::kChecksumMismatch, e.offset,
-                        std::string("snapshot: section ") + what +
-                            " failed checksum verification");
-        }
-      };
-
-  seek_to(eo.offset, "corpus-offsets");
-  char head[8];
-  ReadExact(in, head, 8, "corpus-offsets");
-  const uint64_t num_sequences = LoadLeU64(head);
-  if (num_sequences > total_size / 8 ||
-      eo.length != 8 + 8 * (num_sequences + 1)) {
-    SectionMalformed(eo.offset, "corpus-offsets",
-                     "sequence count disagrees with section size");
-  }
-  std::vector<uint64_t> offsets(num_sequences + 1);
-  read_array_section(eo, "corpus-offsets",
-                     reinterpret_cast<char*>(offsets.data()),
-                     eo.length - 8);
-  if (!HostIsLittleEndian()) {
-    for (uint64_t i = 0; i <= num_sequences; ++i) {
-      char bytes[8];
-      std::memcpy(bytes, &offsets[i], 8);
-      offsets[i] = LoadLeU64(bytes);
-    }
-  }
-
-  seek_to(ea.offset, "corpus-arena");
-  ReadExact(in, head, 8, "corpus-arena");
-  const uint64_t total_items = LoadLeU64(head);
-  if (total_items > total_size / 4 || ea.length != 8 + 4 * total_items) {
-    SectionMalformed(ea.offset, "corpus-arena",
-                     "item count disagrees with section size");
-  }
-  std::vector<ItemId> arena(total_items);
-  read_array_section(ea, "corpus-arena", reinterpret_cast<char*>(arena.data()),
-                     ea.length - 8);
-  if (!HostIsLittleEndian()) {
-    for (uint64_t i = 0; i < total_items; ++i) {
-      char bytes[4];
-      std::memcpy(bytes, &arena[i], 4);
-      arena[i] = LoadLeU32(bytes);
-    }
-  }
-
-  try {
-    snap.ranked_corpus =
-        FlatDatabase::FromBuffers(std::move(arena), std::move(offsets));
-  } catch (const std::invalid_argument& e) {
-    SectionMalformed(eo.offset, "corpus", e.what());
-  }
-
-  ValidateSnapshotSemantics(snap, /*check_corpus=*/true);
-  return snap;
-}
-
-}  // namespace
-
-// ---- public API ----------------------------------------------------------
 
 void WriteDatasetSnapshot(std::ostream& out, const DatasetSnapshot& snapshot) {
   WriteDatasetSnapshotParts(out, snapshot.vocabulary, snapshot.ranked_corpus,
@@ -1013,9 +617,8 @@ void WriteDatasetSnapshotParts(std::ostream& out, const Vocabulary& vocab,
     sections.push_back(std::move(arena));
   }
 
-  // Fixed-width table: offsets are computable in one pass (no varint
-  // fixed-point convergence like v1 needed). Every payload starts
-  // 64-byte-aligned so a page-aligned mapping yields aligned arrays.
+  // Fixed-width table: offsets are computable in one pass. Every payload
+  // starts 64-byte-aligned so a page-aligned mapping yields aligned arrays.
   uint64_t offset =
       kHeaderFixedBytes + kTableEntryBytes * sections.size();
   for (SectionOut& s : sections) {
@@ -1052,90 +655,6 @@ void WriteDatasetSnapshotParts(std::ostream& out, const Vocabulary& vocab,
   if (!out) {
     throw IoError(IoErrorKind::kWriteFailed, 0, "snapshot: write failed");
   }
-}
-
-void WriteDatasetSnapshotV1(std::ostream& out, const Vocabulary& vocab,
-                            const FlatDatabase& ranked_corpus,
-                            const ArrayRef<Frequency>& freq,
-                            const ArrayRef<ItemId>& rank_of_raw,
-                            const DatasetStats& stats) {
-  const size_t n = vocab.NumItems();
-  if (freq.size() != n + 1 || rank_of_raw.size() != n + 1) {
-    throw IoError(IoErrorKind::kMalformed, 0,
-                  "snapshot: inconsistent vocabulary/f-list sizes");
-  }
-  struct Section {
-    uint32_t id;
-    std::string payload;
-  };
-  std::vector<Section> sections;
-  sections.push_back({kV1Vocabulary, EncodeV1Vocabulary(vocab)});
-  sections.push_back({kV1Hierarchy, EncodeV1Hierarchy(vocab)});
-  sections.push_back({kV1Corpus, EncodeV1Corpus(ranked_corpus)});
-  sections.push_back({kV1Flist, EncodeV1Flist(freq, rank_of_raw)});
-  sections.push_back({kV1Stats, EncodeV1Stats(stats)});
-
-  // The v1 table encodes file-absolute payload offsets as varints, which
-  // depend on the table's own size — circular, so the header is built
-  // twice: once with zero offsets to learn its size, then for real.
-  auto build_header = [&](uint64_t payload_base) {
-    std::string header(kMagic, sizeof(kMagic));
-    PutVarint32(&header, 1);  // Version 1.
-    PutVarint32(&header, static_cast<uint32_t>(sections.size()));
-    uint64_t offset = payload_base;
-    for (const Section& s : sections) {
-      PutVarint32(&header, s.id);
-      PutVarint64(&header, offset);
-      PutVarint64(&header, s.payload.size());
-      PutFixed64(&header, FnvHashBytes(s.payload.data(), s.payload.size()));
-      offset += s.payload.size();
-    }
-    return header;
-  };
-  std::string header = build_header(0);
-  bool converged = false;
-  for (int round = 0; round < 8 && !converged; ++round) {
-    std::string next = build_header(header.size());
-    converged = next.size() == header.size();
-    header = std::move(next);
-  }
-  if (!converged) {
-    throw IoError(IoErrorKind::kWriteFailed, 0,
-                  "snapshot: header offset encoding did not converge");
-  }
-
-  out.write(header.data(), static_cast<std::streamsize>(header.size()));
-  for (const Section& s : sections) {
-    out.write(s.payload.data(), static_cast<std::streamsize>(s.payload.size()));
-  }
-  if (!out) {
-    throw IoError(IoErrorKind::kWriteFailed, 0, "snapshot: write failed");
-  }
-}
-
-DatasetSnapshot ReadDatasetSnapshot(std::istream& in) {
-  const std::streampos base = in.tellg();
-  char prefix[9];
-  in.read(prefix, sizeof(prefix));
-  const size_t got = static_cast<size_t>(in.gcount());
-  const uint32_t version = SniffVersion(prefix, got);
-  if (version == 1) {
-    // Legacy container: the v1 varint decoder works over one in-memory
-    // buffer (acceptable for the compatibility path; v2 streams).
-    std::string data(prefix, got);
-    in.clear();
-    data += ReadAllBytes(in);
-    return DecodeV1(data);
-  }
-  return ParseV2Stream(in, base);
-}
-
-DatasetSnapshot ReadDatasetSnapshotMapped(const char* data, size_t size) {
-  const uint32_t version = SniffVersion(data, size);
-  if (version == 1) {
-    return DecodeV1(std::string_view(data, size));
-  }
-  return ParseV2Mapped(data, size);
 }
 
 }  // namespace lash

@@ -24,9 +24,7 @@ namespace lash {
 /// ## Container layout, version 2 (fixed-width little-endian throughout)
 ///
 ///   offset 0   8 raw bytes   magic "LASHSNAP"
-///   offset 8   1 byte        format version (kSnapshotVersion; also a
-///                            valid varint, so v1 readers reject it as a
-///                            future version)
+///   offset 8   1 byte        format version (kSnapshotVersion)
 ///   offset 9   u32           section count
 ///   offset 13  32 bytes/sec  section table: u32 id, u32 flags, u64 payload
 ///                            offset (file-absolute), u64 payload length,
@@ -35,8 +33,9 @@ namespace lash {
 ///   payloads   every payload starts at a 64-byte-aligned file offset
 ///              (zero padding between), so a page-aligned mmap of the file
 ///              gives naturally aligned u32/u64 arrays that are usable
-///              *in place* — the zero-copy load path of Dataset::
-///              FromSnapshot(LoadMode::kMmap).
+///              *in place*. Both load modes of Dataset::FromSnapshot rely
+///              on it: kMmap borrows from the mapping, kCopy from one
+///              aligned heap buffer holding the file.
 ///
 /// Section payloads (ids fixed; `n` = number of vocabulary items):
 ///
@@ -51,23 +50,25 @@ namespace lash {
 ///   7 kCorpusArena    u64 total_items; u32 items[total_items]
 ///
 /// Section flag bit 0 (kSectionFlagLazyVerify) marks a section whose
-/// checksum a mapped reader may defer (set by the writer on the two corpus
-/// sections — the O(corpus bytes) ones). The mapped load verifies the
+/// checksum a borrowing read may defer (set by the writer on the two corpus
+/// sections — the O(corpus bytes) ones). ReadDatasetSnapshot verifies the
 /// header and every small section eagerly and returns the deferred checks
-/// in DatasetSnapshot::deferred for Dataset::VerifyCorpus; the copying
-/// reader always verifies everything at load.
+/// in DatasetSnapshot::deferred; VerifySnapshotCorpus runs them together
+/// with the corpus structure checks. A copying load (Dataset::LoadMode::
+/// kCopy) runs them before it returns; a mapped one on demand
+/// (Dataset::VerifyCorpus).
 ///
-/// Readers reject unknown magic (IoErrorKind::kBadMagic), versions newer
-/// than kSnapshotVersion (kBadVersion), out-of-bounds or misaligned section
-/// tables (kTruncated/kMalformed), and payloads whose checksum does not
-/// match (kChecksumMismatch). Unknown section ids are ignored, so a future
-/// version can *add* sections without a version bump; any change to an
-/// existing section's encoding must bump kSnapshotVersion (see ROADMAP
-/// "Storage layer"). Version-1 containers (varint sections) remain fully
-/// readable: both readers fall back to the v1 decoder, which always copies.
+/// The reader rejects unknown magic (IoErrorKind::kBadMagic), any version
+/// other than kSnapshotVersion (kBadVersion — every snapshot is written by
+/// this tree, so an old file is re-saved rather than decoded), out-of-bounds
+/// or misaligned section tables (kTruncated/kMalformed), and payloads whose
+/// checksum does not match (kChecksumMismatch). Unknown section ids are
+/// ignored, so a future version can *add* sections without a version bump;
+/// any change to an existing section's encoding must bump kSnapshotVersion
+/// (see ROADMAP "Storage layer").
 struct SnapshotDeferredCheck {
   const char* what;    ///< Section name for error messages.
-  const char* data;    ///< Payload bytes inside the caller's mapping.
+  const char* data;    ///< Payload bytes inside the caller's buffer.
   uint64_t length;     ///< Payload length in bytes.
   uint64_t checksum;   ///< Expected FNV-1a64 of the payload.
   uint64_t file_offset;  ///< Payload position (error reporting).
@@ -75,10 +76,10 @@ struct SnapshotDeferredCheck {
 
 struct DatasetSnapshot {
   /// Item names (ids 1..n in raw interning order) and parent edges. After
-  /// a mapped load the name bytes are views into the mapping.
+  /// a borrowing read the name bytes are views into the buffer.
   Vocabulary vocabulary;
   /// The rank-recoded corpus in CSR form (PreprocessResult::database);
-  /// borrowed from the mapping after a mapped load.
+  /// borrowed from the buffer after a borrowing read.
   FlatDatabase ranked_corpus;
   /// Generalized document frequency per rank; index 0 unused (== 0).
   ArrayRef<Frequency> freq;
@@ -86,15 +87,15 @@ struct DatasetSnapshot {
   ArrayRef<ItemId> rank_of_raw;
   /// Table-1 statistics of the raw database.
   DatasetStats stats;
-  /// Checksums the mapped reader deferred (corpus sections only; empty
-  /// after a copying load). The mapping owner re-verifies on demand.
+  /// Checksums a borrowing read deferred (corpus sections only; empty when
+  /// the read copied). The buffer owner verifies them on demand.
   std::vector<SnapshotDeferredCheck> deferred;
 };
 
 inline constexpr uint32_t kSnapshotVersion = 2;
 
 /// Section-table flag bit 0: the checksum may be verified lazily by a
-/// mapped reader (set on the corpus sections).
+/// borrowing read (set on the corpus sections).
 inline constexpr uint32_t kSectionFlagLazyVerify = 1;
 
 /// Serializes `snapshot` in the v2 format. Throws IoError(kWriteFailed) if
@@ -110,33 +111,25 @@ void WriteDatasetSnapshotParts(std::ostream& out, const Vocabulary& vocab,
                                const ArrayRef<ItemId>& rank_of_raw,
                                const DatasetStats& stats);
 
-/// Writes the *legacy v1* container (varint sections, version byte 1).
-/// Kept so the v1-through-current-reader compatibility path stays testable
-/// without fixture files; new code always writes v2.
-void WriteDatasetSnapshotV1(std::ostream& out, const Vocabulary& vocab,
-                            const FlatDatabase& ranked_corpus,
-                            const ArrayRef<Frequency>& freq,
-                            const ArrayRef<ItemId>& rank_of_raw,
-                            const DatasetStats& stats);
+/// Parses and validates a snapshot over `[data, data + size)`: magic,
+/// version, section table bounds and alignment, checksums, and the
+/// cross-section size and permutation checks. On a little-endian host with
+/// an 8-byte-aligned buffer the read is *zero-copy*: names, corpus, f-list
+/// and rank order borrow the buffer, which must then outlive the returned
+/// snapshot and everything moved out of it (the Dataset owns the buffer for
+/// exactly this reason). A borrowing read leaves the O(corpus bytes) checks
+/// to its caller — the corpus checksums in `deferred` and the corpus
+/// structure — to run with VerifySnapshotCorpus. Otherwise (big-endian
+/// host, unaligned buffer) it copies and verifies everything, with nothing
+/// deferred and `ranked_corpus.borrowed()` false. Throws IoError.
+DatasetSnapshot ReadDatasetSnapshot(const char* data, size_t size);
 
-/// Parses and validates a snapshot by copying (magic, version, section
-/// table bounds and alignment, every checksum, cross-section size
-/// consistency, corpus item ranges). v2 sections are streamed straight
-/// into their destination arenas — the file is never slurped whole; v1
-/// containers take the legacy in-memory decode path. The stream must be
-/// seekable for v2 (files and stringstreams are). Throws IoError.
-DatasetSnapshot ReadDatasetSnapshot(std::istream& in);
-
-/// Parses a snapshot over `[data, data + size)` — for v2 containers on a
-/// little-endian host, *zero-copy*: names, corpus, f-list and rank order
-/// borrow the buffer, which must then outlive the returned snapshot and
-/// everything moved out of it (the Dataset owns the MmapFile for exactly
-/// this reason). Header and small sections are checksum-verified eagerly;
-/// the two corpus sections' checksums are returned in `deferred` instead
-/// of being verified (their O(corpus) page faults are the cost this path
-/// exists to avoid). v1 containers and big-endian hosts decode by copying
-/// with nothing deferred. Throws IoError.
-DatasetSnapshot ReadDatasetSnapshotMapped(const char* data, size_t size);
+/// The corpus checks a borrowing read defers: the `deferred` checksums,
+/// then the corpus structure (offset table monotone, every item a rank in
+/// 1..num_items). O(corpus bytes); throws the typed IoError an eager check
+/// would.
+void VerifySnapshotCorpus(const std::vector<SnapshotDeferredCheck>& deferred,
+                          const FlatDatabase& ranked_corpus, size_t num_items);
 
 }  // namespace lash
 

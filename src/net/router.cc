@@ -107,13 +107,11 @@ Frequency RouterBackend::ResolveShardSigma(const serve::TaskSpec& spec) const {
     sigma_prime = spec.shard_sigma;  // per-request override wins
   } else if (options_.shard_sigma != 0) {
     sigma_prime = options_.shard_sigma;
-  } else if (options_.two_phase) {
+  } else {
     // The pigeonhole bound: supp(S) ≥ σ summed over k transaction
     // partitions forces supp(S) ≥ ⌈σ/k⌉ on at least one of them.
     const Frequency k = workers_.size();
     sigma_prime = (sigma + k - 1) / k;
-  } else {
-    sigma_prime = 1;  // legacy exactness: every pattern visible everywhere
   }
   return std::min(std::max<Frequency>(sigma_prime, 1), sigma);
 }
@@ -156,10 +154,8 @@ MineResponse RouterBackend::Scatter(const serve::TaskSpec& spec) {
     if (latency_ms < options_.slow_query_ms) return;
     std::fprintf(stderr,
                  "[lash.slow] outcome=%s latency_ms=%.3f threshold_ms=%.3f "
-                 "twophase=%d shard_sigma=%llu candidates=%zu count_ms=%.3f "
-                 "trace=%s\n",
+                 "shard_sigma=%llu candidates=%zu count_ms=%.3f trace=%s\n",
                  outcome, latency_ms, options_.slow_query_ms,
-                 options_.two_phase ? 1 : 0,
                  static_cast<unsigned long long>(sigma_prime), candidates,
                  count_ms,
                  spec.trace.active() ? spec.trace.trace_id.Hex().c_str()
@@ -224,9 +220,9 @@ MineResponse RouterBackend::Scatter(const serve::TaskSpec& spec) {
 
   // Union of the phase-1 answers keyed on the canonical item-name bytes
   // (the same encoded-key-bytes identity the shuffle's ByteCombiner merges
-  // on). On the legacy σ′=1 path the summed frequencies are already exact;
-  // on the two-phase path they are partial sums (a shard below σ′ did not
-  // report) and the count phase below replaces them.
+  // on). At σ′=1 the summed frequencies are already exact; above it they
+  // are partial sums (a shard below σ′ did not report) and the count phase
+  // below replaces them.
   struct Merged {
     std::vector<std::string> items;
     Frequency frequency = 0;
@@ -244,8 +240,8 @@ MineResponse RouterBackend::Scatter(const serve::TaskSpec& spec) {
   // Skipped when phase 1 is already exact — σ′=1 makes every pattern
   // visible everywhere, and a single worker's mined supports are the union
   // supports (there is no shard it could be missing from).
-  const bool count_phase = options_.two_phase && sigma_prime > 1 &&
-                           workers_.size() > 1 && !merged.empty();
+  const bool count_phase =
+      sigma_prime > 1 && workers_.size() > 1 && !merged.empty();
   NamedPatternList candidates;
   std::vector<Frequency> totals;
   double count_ms = 0;

@@ -17,22 +17,17 @@
 namespace lash::net {
 
 struct RouterOptions {
-  /// Two-phase candidate/count protocol (the default): phase 1 scatters the
-  /// mine at the pigeonhole bound σ′ = max(1, ⌈σ/k⌉) for k workers — any
-  /// pattern whose union support reaches σ must reach σ′ on at least one
-  /// shard, so the union of per-shard results is a *complete* candidate
-  /// set while each shard ships only its σ′-frequent patterns; phase 2
-  /// sends the named union candidates back to every worker (kCountRequest),
-  /// sums the exact per-shard supports, and re-cuts at σ. Output is
-  /// byte-identical to the legacy one-phase σ′=1 scatter. False keeps the
-  /// legacy path (the bench baseline): one phase at σ′=1, exact because
-  /// every pattern is visible everywhere.
-  bool two_phase = true;
-  /// Default phase-1 scatter threshold σ′. 0 picks the mode's default —
-  /// the pigeonhole bound when `two_phase`, 1 on the legacy path. A
-  /// nonzero value overrides both (clamped to [1, σ]); on the legacy path
-  /// raising it above 1 trades completeness for shard-side work. A
-  /// per-request `TaskSpec::shard_sigma` overrides this per query.
+  /// Default phase-1 scatter threshold σ′. 0 picks the pigeonhole bound
+  /// σ′ = max(1, ⌈σ/k⌉) for k workers: any pattern whose union support
+  /// reaches σ must reach σ′ on at least one shard, so the union of
+  /// per-shard results is a *complete* candidate set while each shard
+  /// ships only its σ′-frequent patterns; phase 2 sends the named union
+  /// candidates back to every worker (kCountRequest), sums the exact
+  /// per-shard supports, and re-cuts at σ. A nonzero value overrides the
+  /// bound (clamped to [1, σ]): 1 is the one-phase baseline — every pattern
+  /// visible everywhere, so the count phase is skipped — and a value above
+  /// the bound trades completeness for shard-side work. A per-request
+  /// `TaskSpec::shard_sigma` overrides this per query.
   Frequency shard_sigma = 0;
   /// Per-worker client knobs (timeouts, retries).
   ClientOptions client;
@@ -58,17 +53,17 @@ struct RouterOptions {
 /// an associative, commutative reduction, and merging workers in any
 /// grouping or order yields the same multiset (router trees compose).
 /// Exactness needs every σ-frequent pattern visible, and a union-frequent
-/// pattern can sit below σ on every individual shard. Two ways to get it:
+/// pattern can sit below σ on every individual shard. One scatter mode,
+/// parameterized by σ′ (RouterOptions::shard_sigma):
 ///
-///   * Two-phase (default, RouterOptions::two_phase): scatter the mine at
-///     the pigeonhole bound σ′ = max(1, ⌈σ/k⌉) — if supp(S) ≥ σ over k
-///     shards, some shard holds ≥ ⌈σ/k⌉ of it — then recount the union
+///   * At the default pigeonhole bound σ′ = max(1, ⌈σ/k⌉) — if supp(S) ≥ σ
+///     over k shards, some shard holds ≥ ⌈σ/k⌉ of it — recount the union
 ///     candidates exactly on every shard (kCountRequest) and sum. Each
 ///     shard ships only σ′-frequent patterns instead of its entire σ′=1
 ///     pattern universe.
-///   * Legacy one-phase: scatter at σ′=1 so every pattern is visible, and
-///     re-apply the caller's σ to the summed supports. Exact but pays the
-///     σ′=1 tax in shard mining and pattern shipping.
+///   * At σ′=1 every pattern is visible, so the summed phase-1 supports
+///     are exact and the count phase is skipped. Exact but pays the σ′=1
+///     tax in shard mining and pattern shipping (the measured baseline).
 ///
 /// Either way top-k is deferred: workers mine un-truncated, the router
 /// re-sorts the merged stream (canonical wire order) and re-cuts.

@@ -22,8 +22,7 @@ namespace lash::obs {
 /// trade-off for the p50/p95 service dashboards it feeds (a serving cache
 /// hit and a cold mining run differ by orders of magnitude, not by 2x).
 ///
-/// Born in serve/ (PR 4), hoisted into obs/ for the metrics registry of
-/// PR 9 — serve/histogram.h keeps the old name as an alias.
+/// Born in the serving layer, hoisted into obs/ for the metrics registry.
 class LatencyHistogram {
  public:
   static constexpr size_t kBuckets = 28;

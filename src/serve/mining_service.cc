@@ -496,11 +496,13 @@ ServiceStats MiningService::Stats() const {
   stats.cache_oversized_rejects = cache.oversized_rejects;
   stats.queue_depth = executor_.QueueDepth();
 
-  const LatencyHistogram::Snapshot hit = inst_.hit_latency->TakeSnapshot();
+  const obs::LatencyHistogram::Snapshot hit =
+      inst_.hit_latency->TakeSnapshot();
   stats.hit_p50_ms = hit.PercentileMs(0.50);
   stats.hit_p95_ms = hit.PercentileMs(0.95);
   stats.hit_mean_ms = hit.MeanMs();
-  const LatencyHistogram::Snapshot mine = inst_.mine_latency->TakeSnapshot();
+  const obs::LatencyHistogram::Snapshot mine =
+      inst_.mine_latency->TakeSnapshot();
   stats.mine_p50_ms = mine.PercentileMs(0.50);
   stats.mine_p95_ms = mine.PercentileMs(0.95);
   stats.mine_mean_ms = mine.MeanMs();

@@ -18,7 +18,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/executor.h"
-#include "serve/histogram.h"
+#include "obs/histogram.h"
 #include "serve/result_cache.h"
 #include "serve/task_spec.h"
 

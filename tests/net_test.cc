@@ -483,7 +483,9 @@ class NetLoopbackTest : public ::testing::Test {
   /// baseline both network paths must reproduce exactly.
   std::string BaselineBytes(const TaskSpec& spec) {
     serve::MiningService service(dataset_);
-    const serve::Response& response = service.Submit(spec).Get();
+    // Get() returns into the pending result's state: keep it alive.
+    const serve::PendingResult pending = service.Submit(spec);
+    const serve::Response& response = pending.Get();
     std::string bytes;
     EncodeNamedPatterns(&bytes,
                         NamePatterns(dataset_, response.patterns(),
@@ -593,7 +595,7 @@ TEST_F(NetLoopbackTest, TwoPhaseCountPhaseMatchesLegacyAndInProcess) {
 
   RouterBackend two_phase(addresses, RouterOptions{});
   RouterOptions legacy_options;
-  legacy_options.two_phase = false;
+  legacy_options.shard_sigma = 1;  // One phase: every pattern visible.
   RouterBackend legacy(addresses, legacy_options);
 
   for (Algorithm algorithm : kAllAlgorithms) {
@@ -649,7 +651,8 @@ TEST_F(NetLoopbackTest, PigeonholeBoundIsLoadBearing) {
 
   // The union answer, exactly: in-process parity over the union corpus.
   serve::MiningService service(u);
-  const serve::Response& baseline = service.Submit(spec).Get();
+  const serve::PendingResult pending = service.Submit(spec);
+  const serve::Response& baseline = pending.Get();
   std::string baseline_bytes;
   EncodeNamedPatterns(&baseline_bytes,
                       NamePatterns(u, baseline.patterns(),

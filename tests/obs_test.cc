@@ -19,7 +19,6 @@
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/histogram.h"
 
 namespace lash::obs {
 namespace {
@@ -81,12 +80,6 @@ TEST(Histogram, QuantileReportsUpperBoundOfRankBucket) {
             static_cast<double>(uint64_t{1} << (LatencyHistogram::kBuckets -
                                                 1)) /
                 1000.0);
-}
-
-TEST(Histogram, ServeAliasIsTheSameType) {
-  // serve/histogram.h keeps the pre-obs name alive as an alias, so the
-  // serving layer's declarations did not change meaning.
-  static_assert(std::is_same_v<serve::LatencyHistogram, LatencyHistogram>);
 }
 
 // ---- MetricsRegistry ------------------------------------------------------

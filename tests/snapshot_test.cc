@@ -1,20 +1,22 @@
 // Tests for the one-file dataset snapshot (io/snapshot.h + Dataset::Save /
 // Dataset::FromSnapshot): round-trip equality of every restored component in
-// both load modes (copy and mmap), the v2 corruption matrix (truncation,
-// flipped magic, future version, misaligned section, eager vs deferred
-// checksums), v1-container compatibility through the current readers, and
-// facade parity — FromSnapshot(Save(d)) must answer every algorithm exactly
-// like the text-loaded dataset, in either load mode.
+// both load modes (copy and mmap), the corruption matrix (truncation,
+// flipped magic, old and future versions, misaligned section, eager vs
+// deferred checksums), an exhaustive byte-flip/truncation mutation sweep,
+// and facade parity — FromSnapshot(Save(d)) must answer every algorithm
+// exactly like the text-loaded dataset, in either load mode.
 
 #include "io/snapshot.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "api/lash_api.h"
 #include "io/io_error.h"
@@ -284,18 +286,22 @@ TEST(SnapshotTest, RejectsFlippedMagic) {
   }
 }
 
-TEST(SnapshotTest, RejectsFutureVersion) {
-  std::string bytes = SnapshotBytes(PaperDataset());
-  // The version byte follows the 8-byte magic (it is also a valid varint,
-  // so a v1 reader rejects v2+ containers the same way).
-  ASSERT_EQ(static_cast<unsigned char>(bytes[8]), kSnapshotVersion);
-  bytes[8] = 0x7f;  // Version 127: far future.
-  for (Dataset::LoadMode mode : kBothModes) {
-    try {
-      FromBytes(bytes, mode);
-      FAIL() << "expected IoError";
-    } catch (const IoError& e) {
-      EXPECT_EQ(e.kind(), IoErrorKind::kBadVersion);
+TEST(SnapshotTest, RejectsOtherVersions) {
+  const std::string pristine = SnapshotBytes(PaperDataset());
+  // The version byte follows the 8-byte magic.
+  ASSERT_EQ(static_cast<unsigned char>(pristine[8]), kSnapshotVersion);
+  // Version 1 (the retired varint container) and 127 (far future).
+  for (char version : {'\x01', '\x7f'}) {
+    std::string bytes = pristine;
+    bytes[8] = version;
+    for (Dataset::LoadMode mode : kBothModes) {
+      try {
+        FromBytes(bytes, mode);
+        FAIL() << "expected IoError for version " << int{version};
+      } catch (const IoError& e) {
+        EXPECT_EQ(e.kind(), IoErrorKind::kBadVersion);
+        EXPECT_EQ(e.byte_offset(), 8u);
+      }
     }
   }
 }
@@ -320,16 +326,19 @@ TEST(SnapshotTest, RejectsCorruptPayloadByChecksum) {
   const std::string pristine = SnapshotBytes(PaperDataset());
   // Flip one byte in the last quarter of the file (payload area; the
   // section table with its checksums sits at the front). The copying load
-  // verifies every section eagerly.
-  for (size_t offset : {pristine.size() - 3, pristine.size() * 3 / 4}) {
-    std::string bytes = pristine;
-    bytes[offset] ^= 0x40;
-    try {
-      FromBytes(bytes);
-      FAIL() << "expected IoError, flip at " << offset;
-    } catch (const IoError& e) {
-      EXPECT_EQ(e.kind(), IoErrorKind::kChecksumMismatch)
-          << "flip at " << offset << ": " << e.what();
+  // verifies every section eagerly, a mapped one by VerifyCorpus at the
+  // latest.
+  for (Dataset::LoadMode mode : kBothModes) {
+    for (size_t offset : {pristine.size() - 3, pristine.size() * 3 / 4}) {
+      std::string bytes = pristine;
+      bytes[offset] ^= 0x40;
+      try {
+        FromBytes(bytes, mode).VerifyCorpus();
+        FAIL() << "expected IoError, flip at " << offset;
+      } catch (const IoError& e) {
+        EXPECT_EQ(e.kind(), IoErrorKind::kChecksumMismatch)
+            << "flip at " << offset << ": " << e.what();
+      }
     }
   }
 }
@@ -414,54 +423,102 @@ DatasetSnapshot PaperSnapshot(const testing::PaperExample& ex) {
 
 TEST(SnapshotTest, LowLevelRoundTrip) {
   // io-level round trip without the facade: DatasetSnapshot in, equal
-  // DatasetSnapshot out — through the streaming reader and the mapped one.
+  // DatasetSnapshot out.
   testing::PaperExample ex;
   DatasetSnapshot snap = PaperSnapshot(ex);
 
   std::stringstream buffer;
   WriteDatasetSnapshot(buffer, snap);
-  DatasetSnapshot decoded = ReadDatasetSnapshot(buffer);
-  ExpectSnapshotsEqual(decoded, snap);
-  EXPECT_TRUE(decoded.deferred.empty());  // Copy loads defer nothing.
-
   const std::string bytes = buffer.str();
-  DatasetSnapshot mapped = ReadDatasetSnapshotMapped(bytes.data(),
-                                                     bytes.size());
-  ExpectSnapshotsEqual(mapped, snap);
-  // Whatever the mapped reader deferred must verify against the bytes.
-  for (const SnapshotDeferredCheck& check : mapped.deferred) {
-    EXPECT_EQ(FnvHashBytes(check.data, check.length), check.checksum)
-        << check.what;
+  // Keep the copy 8-byte aligned, so the read borrows from it.
+  std::vector<uint64_t> aligned((bytes.size() + 7) / 8);
+  std::memcpy(aligned.data(), bytes.data(), bytes.size());
+  const char* data = reinterpret_cast<const char*>(aligned.data());
+  DatasetSnapshot decoded = ReadDatasetSnapshot(data, bytes.size());
+  ExpectSnapshotsEqual(decoded, snap);
+  EXPECT_TRUE(decoded.ranked_corpus.borrowed());
+  // The deferred corpus checks pass against the intact bytes.
+  EXPECT_EQ(decoded.deferred.size(), 2u);
+  EXPECT_NO_THROW(VerifySnapshotCorpus(decoded.deferred, decoded.ranked_corpus,
+                                       decoded.vocabulary.NumItems()));
+}
+
+TEST(SnapshotTest, UnalignedBufferDecodesByCopying) {
+  // The reader borrows only from a naturally aligned buffer; any other
+  // buffer takes the copying decode (the big-endian path), which verifies
+  // everything itself and defers nothing.
+  testing::PaperExample ex;
+  DatasetSnapshot snap = PaperSnapshot(ex);
+  std::stringstream buffer;
+  WriteDatasetSnapshot(buffer, snap);
+  const std::string bytes = buffer.str();
+  std::vector<uint64_t> storage(bytes.size() / 8 + 2);
+  char* shifted = reinterpret_cast<char*>(storage.data()) + 1;
+  std::memcpy(shifted, bytes.data(), bytes.size());
+
+  DatasetSnapshot decoded = ReadDatasetSnapshot(shifted, bytes.size());
+  ExpectSnapshotsEqual(decoded, snap);
+  EXPECT_FALSE(decoded.ranked_corpus.borrowed());
+  EXPECT_TRUE(decoded.deferred.empty());
+
+  // The copying decode runs the corpus structure checks itself: an
+  // out-of-range rank under a re-sealed checksum is rejected at read time.
+  const SectionInfo arena = FindSection(bytes, kCorpusArenaSectionId);
+  std::string corrupt = bytes;
+  StoreLeU64At(&corrupt, arena.offset + 8, 0xffffffffffffffffull);
+  StoreLeU64At(&corrupt, arena.table_pos + 24,
+               FnvHashBytes(corrupt.data() + arena.offset, arena.length));
+  std::memcpy(shifted, corrupt.data(), corrupt.size());
+  try {
+    ReadDatasetSnapshot(shifted, corrupt.size());
+    FAIL() << "expected IoError";
+  } catch (const IoError& e) {
+    EXPECT_EQ(e.kind(), IoErrorKind::kMalformed) << e.what();
   }
 }
 
-TEST(SnapshotTest, V1ContainerLoadsThroughCurrentReaders) {
-  // Compatibility: a legacy v1 container (varint sections) must decode
-  // through both current readers and through the facade in both modes.
-  testing::PaperExample ex;
-  DatasetSnapshot snap = PaperSnapshot(ex);
+// ---- Mutation sweep ------------------------------------------------------
 
-  std::stringstream buffer;
-  WriteDatasetSnapshotV1(buffer, snap.vocabulary, snap.ranked_corpus,
-                         snap.freq, snap.rank_of_raw, snap.stats);
-  const std::string bytes = buffer.str();
-  ASSERT_EQ(static_cast<unsigned char>(bytes[8]), 1u);  // v1 version byte.
-
-  DatasetSnapshot decoded = ReadDatasetSnapshot(buffer);
-  ExpectSnapshotsEqual(decoded, snap);
-
-  DatasetSnapshot mapped = ReadDatasetSnapshotMapped(bytes.data(),
-                                                     bytes.size());
-  ExpectSnapshotsEqual(mapped, snap);
-  EXPECT_TRUE(mapped.deferred.empty());  // v1 always copies, defers nothing.
-
-  for (Dataset::LoadMode mode : kBothModes) {
+/// Loads `bytes` in `mode` and pays every deferred check. Returns the
+/// re-saved bytes, or "" if the load raised a typed error.
+std::string LoadVerifyResave(const std::string& bytes, Dataset::LoadMode mode) {
+  try {
     Dataset ds = FromBytes(bytes, mode);
-    EXPECT_FALSE(ds.mmap_backed());  // v1 degrades to a copy either way.
-    EXPECT_EQ(ds.NumItems(), snap.vocabulary.NumItems());
-    EXPECT_EQ(ds.preprocessed().database, snap.ranked_corpus);
-    EXPECT_EQ(ds.preprocessed().freq, snap.freq);
-    EXPECT_NO_THROW(ds.VerifyCorpus());
+    ds.VerifyCorpus();
+    return SnapshotBytes(ds);
+  } catch (const IoError&) {
+  } catch (const ApiError&) {
+  }
+  return "";
+}
+
+TEST(SnapshotTest, EveryByteFlipAndCutIsRejectedOrHarmless) {
+  // Every single-byte mutation of the paper-example snapshot must either
+  // raise a typed IoError/ApiError, or load, pass VerifyCorpus, and re-save
+  // to exactly the pristine bytes (a flipped padding byte is not
+  // checksummed, and the writer normalizes it). Any crash fails the test
+  // binary outright.
+  const std::string pristine = SnapshotBytes(PaperDataset());
+  for (Dataset::LoadMode mode : kBothModes) {
+    const char* mode_name = mode == Dataset::LoadMode::kCopy ? "copy" : "mmap";
+    size_t harmless = 0;
+    for (size_t pos = 0; pos < pristine.size(); ++pos) {
+      for (unsigned char mask : {0x01, 0x80}) {
+        std::string bytes = pristine;
+        bytes[pos] = static_cast<char>(bytes[pos] ^ mask);
+        const std::string resaved = LoadVerifyResave(bytes, mode);
+        if (resaved.empty()) continue;
+        ++harmless;
+        EXPECT_EQ(resaved, pristine)
+            << mode_name << ": flip " << int{mask} << " at byte " << pos;
+      }
+    }
+    // Padding between sections exists, so some flips must be harmless.
+    EXPECT_GT(harmless, 0u) << mode_name;
+    for (size_t cut = 0; cut < pristine.size(); ++cut) {
+      EXPECT_EQ(LoadVerifyResave(pristine.substr(0, cut), mode), "")
+          << mode_name << ": cut at " << cut;
+    }
   }
 }
 

@@ -13,9 +13,9 @@
 // merged answer through the same protocol. By default it runs the exact
 // two-phase candidate/count protocol (phase-1 mine at the pigeonhole bound
 // ⌈σ/k⌉, phase-2 exact recount of the union candidates; see net/router.h
-// for the merge contract); --legacy-scatter keeps the one-phase σ′=1 path:
+// for the merge contract); --shard-sigma 1 is the one-phase σ′=1 path:
 //   lash_served --router --workers HOST:PORT[,HOST:PORT...]
-//               [--shard-sigma N] [--legacy-scatter]
+//               [--shard-sigma N]
 //               [--bind ADDR] [--port N] [--port-file FILE]
 //               [--threads N] [--io-timeout-ms N] [--slow-ms N]
 //
@@ -122,9 +122,8 @@ int RealMain(const tools::Args& args) {
       throw tools::ArgError("--workers needs at least one HOST:PORT");
     }
     net::RouterOptions options;
-    options.two_phase = !args.Has("legacy-scatter");
-    // 0 keeps the mode's default σ′: the pigeonhole bound ⌈σ/k⌉ when
-    // two-phase, 1 on the legacy path.
+    // 0 keeps the default σ′, the pigeonhole bound ⌈σ/k⌉; 1 is the
+    // one-phase baseline.
     options.shard_sigma = args.GetInt("shard-sigma", 0);
     options.scatter_threads = args.GetInt("threads", 0);
     options.client.io_timeout_ms =
@@ -134,15 +133,12 @@ int RealMain(const tools::Args& args) {
     const size_t num_workers = workers.size();
     net::RouterBackend backend(std::move(workers), options);
     if (options.shard_sigma != 0) {
-      std::fprintf(stderr,
-                   "routing across %zu workers (%s, shard sigma %llu)\n",
-                   num_workers, options.two_phase ? "two-phase" : "one-phase",
-                   (unsigned long long)options.shard_sigma);
+      std::fprintf(stderr, "routing across %zu workers (shard sigma %llu)\n",
+                   num_workers, (unsigned long long)options.shard_sigma);
     } else {
-      std::fprintf(stderr, "routing across %zu workers (%s)\n", num_workers,
-                   options.two_phase
-                       ? "two-phase, pigeonhole shard sigma"
-                       : "one-phase, shard sigma 1");
+      std::fprintf(stderr,
+                   "routing across %zu workers (pigeonhole shard sigma)\n",
+                   num_workers);
     }
     return Serve(std::move(server_options), &backend, args);
   }
@@ -213,7 +209,6 @@ int main(int argc, char** argv) {
                            {"router", false},
                            {"workers"},
                            {"shard-sigma"},
-                           {"legacy-scatter", false},
                            {"io-timeout-ms"},
                            {"trace-out"},
                            {"slow-ms"}});
@@ -225,7 +220,7 @@ int main(int argc, char** argv) {
              "[--queue N] [--block] [--cache-mb N] [--trace-out FILE] "
              "[--slow-ms N]\n"
              "router: lash_served --router --workers HOST:PORT[,...] "
-             "[--shard-sigma N] [--legacy-scatter] [--bind ADDR] [--port N] "
+             "[--shard-sigma N] [--bind ADDR] [--port N] "
              "[--port-file FILE] [--threads N] [--io-timeout-ms N] "
              "[--trace-out FILE] [--slow-ms N]\n";
       return 0;
