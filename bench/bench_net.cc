@@ -217,12 +217,13 @@ int Main(int argc, char** argv) {
   const bool stats_ok = worker_stats.submitted >= 2 * stream.size() &&
                         worker_stats.hits >= stream.size();
 
-  // --- v2 traced hits: what trace context costs on the wire. ---
-  // Same all-hits wave, but every request carries a fresh trace id (the
-  // kMineRequestV2 frame) and the worker — sharing this process's global
-  // tracer — records every serve-pipeline span to a JSONL file. The delta
-  // against the v1 hit wave is the full per-request instrumentation tax:
-  // 24 extra header bytes, span bookkeeping, and the fflush per span.
+  // --- Traced hits: what tracing costs per request. ---
+  // Same all-hits wave, but every request carries a fresh trace id and the
+  // worker — sharing this process's global tracer — records every
+  // serve-pipeline span to a JSONL file. A traced request is exactly as
+  // large as an untraced one (the trace context always travels), so the
+  // delta against the untraced hit wave is tracing alone: span bookkeeping
+  // and the fflush per span.
   const std::string trace_path = out + ".trace.jsonl";
   obs::Tracer::Global().OpenFile(trace_path);
   bool traced_parity = true;
@@ -313,7 +314,7 @@ int Main(int argc, char** argv) {
               "(net hit overhead %.4fms), all hits %s\n",
               Avg(net_cold_ms), net_hit_avg, net_hit_overhead_ms,
               net_all_hits ? "yes" : "NO");
-  std::printf("tracing    : v2 traced hit avg %.4fms "
+  std::printf("tracing    : traced hit avg %.4fms "
               "(trace overhead %+.4fms per request)\n",
               traced_hit_avg, trace_hit_overhead_ms);
   const double router_avg = Avg(router_ms);

@@ -122,14 +122,25 @@ Dataset::Dataset(SnapshotTag, const std::string& path, LoadMode mode)
 
 void Dataset::BuildRawCorpus() const {
   // Recoding is a bijection per item, so the raw corpus is one arena pass
-  // over the ranked one — no parsing, no f-list job.
-  raw_db_.Reserve(pre_.database.size(), pre_.database.TotalItems());
-  for (SequenceView t : pre_.database) {
-    ItemId* raw = raw_db_.AppendSlot(t.size());
-    for (size_t i = 0; i < t.size(); ++i) {
-      raw[i] = pre_.raw_of_rank[t[i]];
+  // over the ranked one under the same offset table — no parsing, no
+  // f-list job. A mapped load has not verified its corpus yet, so every
+  // rank is bound-checked; a bad one throws before raw_db_ is touched, and
+  // a retry starts over.
+  const FlatDatabase& ranked = pre_.database;
+  std::vector<ItemId> arena(ranked.TotalItems());
+  for (size_t i = 0; i < arena.size(); ++i) {
+    const ItemId rank = ranked.arena()[i];
+    if (rank == kInvalidItem || rank >= pre_.raw_of_rank.size()) {
+      throw IoError(IoErrorKind::kMalformed, 0,
+                    "snapshot corpus: item rank " + std::to_string(rank) +
+                        " out of range");
     }
+    arena[i] = pre_.raw_of_rank[rank];
   }
+  raw_db_ = FlatDatabase::FromBuffers(
+      std::move(arena),
+      std::vector<uint64_t>(ranked.offset_table(),
+                            ranked.offset_table() + ranked.size() + 1));
 }
 
 const FlatDatabase& Dataset::raw_database() const {

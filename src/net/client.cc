@@ -236,92 +236,6 @@ std::string NetClient::Exchange(const std::string& payload) {
   }
 }
 
-MineReply NetClient::Mine(const serve::TaskSpec& spec) {
-  const double start_ms = NowMs();
-  const std::string payload =
-      Exchange(spec.shard_sigma != 0 ? EncodeMineRequestV3(spec)
-               : spec.trace.active() ? EncodeMineRequestV2(spec)
-                                     : EncodeMineRequest(spec));
-  MineReply reply;
-  try {
-    const MessageType type = PeekMessageType(payload);
-    if (type == MessageType::kErrorResponse) {
-      const ErrorResponse error = DecodeErrorResponse(payload);
-      throw ServeError(error.code, error.message);
-    }
-    if (type != MessageType::kMineResponse) {
-      throw ServeError(ServeErrorCode::kExecutionFailed,
-                       "unexpected response message type");
-    }
-    MineResponse response = DecodeMineResponse(payload);
-    reply.run = std::move(response.run);
-    reply.patterns = std::move(response.patterns);
-    reply.cache_hit = response.cache_hit;
-    reply.coalesced = response.coalesced;
-    reply.server_ms = response.server_ms;
-  } catch (const IoError& e) {
-    throw ServeError(ServeErrorCode::kExecutionFailed,
-                     std::string("malformed mine response: ") + e.what());
-  }
-  reply.round_trip_ms = NowMs() - start_ms;
-  return reply;
-}
-
-CountReply NetClient::Count(const CountRequest& request) {
-  const double start_ms = NowMs();
-  const std::string payload = Exchange(EncodeCountRequest(request));
-  CountReply reply;
-  try {
-    const MessageType type = PeekMessageType(payload);
-    if (type == MessageType::kErrorResponse) {
-      const ErrorResponse error = DecodeErrorResponse(payload);
-      throw ServeError(error.code, error.message);
-    }
-    if (type != MessageType::kCountResponse) {
-      throw ServeError(ServeErrorCode::kExecutionFailed,
-                       "unexpected response message type");
-    }
-    CountResponse response = DecodeCountResponse(payload);
-    reply.supports = std::move(response.supports);
-    reply.server_ms = response.server_ms;
-  } catch (const IoError& e) {
-    throw ServeError(ServeErrorCode::kExecutionFailed,
-                     std::string("malformed count response: ") + e.what());
-  }
-  reply.round_trip_ms = NowMs() - start_ms;
-  return reply;
-}
-
-serve::ServiceStats NetClient::Stats() {
-  const std::string payload = Exchange(EncodeStatsRequest());
-  try {
-    const MessageType type = PeekMessageType(payload);
-    if (type == MessageType::kErrorResponse) {
-      const ErrorResponse error = DecodeErrorResponse(payload);
-      throw ServeError(error.code, error.message);
-    }
-    return DecodeStatsResponse(payload);
-  } catch (const IoError& e) {
-    throw ServeError(ServeErrorCode::kExecutionFailed,
-                     std::string("malformed stats response: ") + e.what());
-  }
-}
-
-std::vector<obs::MetricSample> NetClient::Metrics() {
-  const std::string payload = Exchange(EncodeMetricsRequest());
-  try {
-    const MessageType type = PeekMessageType(payload);
-    if (type == MessageType::kErrorResponse) {
-      const ErrorResponse error = DecodeErrorResponse(payload);
-      throw ServeError(error.code, error.message);
-    }
-    return DecodeMetricsResponse(payload);
-  } catch (const IoError& e) {
-    throw ServeError(ServeErrorCode::kExecutionFailed,
-                     std::string("malformed metrics response: ") + e.what());
-  }
-}
-
 #else  // !__unix__
 
 NetClient::NetClient(std::string host, uint16_t port, ClientOptions options)
@@ -331,32 +245,70 @@ NetClient::~NetClient() = default;
 
 void NetClient::Disconnect() {}
 
-MineReply NetClient::Mine(const serve::TaskSpec&) {
+// Every RPC goes through Exchange, so the socket helpers are never called.
+std::string NetClient::Exchange(const std::string&) {
   throw ServeError(ServeErrorCode::kExecutionFailed,
                    "lash::net requires a POSIX platform");
 }
 
-CountReply NetClient::Count(const CountRequest&) {
-  throw ServeError(ServeErrorCode::kExecutionFailed,
-                   "lash::net requires a POSIX platform");
+#endif  // __unix__
+
+template <typename Response>
+Response NetClient::Call(const std::string& request, MessageType expected,
+                         Response (*decode)(std::string_view)) {
+  const std::string payload = Exchange(request);
+  try {
+    const MessageType type = PeekMessageType(payload);
+    if (type == MessageType::kErrorResponse) {
+      const ErrorResponse error = DecodeErrorResponse(payload);
+      throw ServeError(error.code, error.message);
+    }
+    if (type != expected) {
+      throw ServeError(ServeErrorCode::kExecutionFailed,
+                       "unexpected response message type " +
+                           std::to_string(static_cast<unsigned>(type)));
+    }
+    return decode(payload);
+  } catch (const IoError& e) {
+    throw ServeError(ServeErrorCode::kExecutionFailed,
+                     std::string("malformed response: ") + e.what());
+  }
+}
+
+MineReply NetClient::Mine(const serve::TaskSpec& spec) {
+  const double start_ms = NowMs();
+  MineResponse response = Call(EncodeMineRequest(spec),
+                               MessageType::kMineResponse, &DecodeMineResponse);
+  MineReply reply;
+  reply.run = std::move(response.run);
+  reply.patterns = std::move(response.patterns);
+  reply.cache_hit = response.cache_hit;
+  reply.coalesced = response.coalesced;
+  reply.server_ms = response.server_ms;
+  reply.round_trip_ms = NowMs() - start_ms;
+  return reply;
+}
+
+CountReply NetClient::Count(const CountRequest& request) {
+  const double start_ms = NowMs();
+  CountResponse response = Call(EncodeCountRequest(request),
+                                MessageType::kCountResponse,
+                                &DecodeCountResponse);
+  CountReply reply;
+  reply.supports = std::move(response.supports);
+  reply.server_ms = response.server_ms;
+  reply.round_trip_ms = NowMs() - start_ms;
+  return reply;
 }
 
 serve::ServiceStats NetClient::Stats() {
-  throw ServeError(ServeErrorCode::kExecutionFailed,
-                   "lash::net requires a POSIX platform");
+  return Call(EncodeStatsRequest(), MessageType::kStatsResponse,
+              &DecodeStatsResponse);
 }
 
 std::vector<obs::MetricSample> NetClient::Metrics() {
-  throw ServeError(ServeErrorCode::kExecutionFailed,
-                   "lash::net requires a POSIX platform");
+  return Call(EncodeMetricsRequest(), MessageType::kMetricsResponse,
+              &DecodeMetricsResponse);
 }
-
-std::string NetClient::Exchange(const std::string&) { return {}; }
-void NetClient::EnsureConnected() {}
-void NetClient::SendAll(const std::string&) {}
-std::string NetClient::ReadFrame() { return {}; }
-void NetClient::WaitIo(short) {}
-
-#endif  // __unix__
 
 }  // namespace lash::net

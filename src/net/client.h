@@ -63,12 +63,9 @@ class NetClient {
   NetClient(const NetClient&) = delete;
   NetClient& operator=(const NetClient&) = delete;
 
-  /// Mines `spec` remotely and returns the decoded reply. The spec's
-  /// deadline travels with the request (the server enforces it too). A spec
-  /// with a shard-σ override (`spec.shard_sigma != 0`) is sent as
-  /// kMineRequestV3; otherwise a spec carrying an active trace id is sent
-  /// as kMineRequestV2 (the trace context crosses the wire); otherwise the
-  /// v1 encoding is used, byte-identical to a pre-PR-9 client.
+  /// Mines `spec` remotely and returns the decoded reply. The spec travels
+  /// as one kMineRequest carrying its deadline (the server enforces it
+  /// too), its shard-σ override and its trace context.
   MineReply Mine(const serve::TaskSpec& spec);
 
   /// Counts the exact supports of `request.candidates` on the remote shard
@@ -92,6 +89,14 @@ class NetClient {
   /// Ensures a live connection (connect + retries) and performs one framed
   /// request/response exchange. Throws ServeError.
   std::string Exchange(const std::string& payload);
+
+  /// One RPC: exchanges `request`, rethrows an error response as its
+  /// ServeError, and decodes a reply of type `expected` with `decode`. Any
+  /// other reply type, or a reply that fails to decode, throws
+  /// kExecutionFailed.
+  template <typename Response>
+  Response Call(const std::string& request, MessageType expected,
+                Response (*decode)(std::string_view));
 
   void EnsureConnected();
   void SendAll(const std::string& bytes);

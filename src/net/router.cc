@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -43,53 +44,39 @@ RouterBackend::~RouterBackend() { pool_->Wait(); }
 
 void RouterBackend::Handle(std::string_view payload, Reply reply) {
   const MessageType type = PeekMessageType(payload);
-  if (type == MessageType::kStatsRequest) {
-    // Stats fan out to every worker — too slow for the event loop.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++inflight_;
-    }
-    pool_->Submit([this, reply] {
-      std::string answer;
-      try {
-        answer = EncodeStatsResponse(AggregateStats());
-      } catch (const ServeError& e) {
-        answer = EncodeErrorResponse(e.code(), e.what());
-      }
-      reply.Send(std::move(answer));
-      std::lock_guard<std::mutex> lock(mu_);
-      --inflight_;
-    });
-    return;
-  }
   if (type == MessageType::kMetricsRequest) {
     reply.Send(EncodeMetricsResponse(options_.metrics != nullptr
                                          ? options_.metrics->Snapshot()
                                          : std::vector<obs::MetricSample>{}));
     return;
   }
-  if (type != MessageType::kMineRequest &&
-      type != MessageType::kMineRequestV2 &&
-      type != MessageType::kMineRequestV3) {
+  // Mines and stats both fan out to every worker — too slow for the event
+  // loop, so the answer is computed on the pool.
+  std::function<std::string()> answer;
+  if (type == MessageType::kMineRequest) {
+    answer = [this, spec = DecodeMineRequest(payload)] {
+      return EncodeMineResponse(Scatter(spec));
+    };
+  } else if (type == MessageType::kStatsRequest) {
+    answer = [this] { return EncodeStatsResponse(AggregateStats()); };
+  } else {
     throw IoError(IoErrorKind::kMalformed, 0,
                   "router received a non-request message");
   }
-  const MineRequest request = DecodeMineRequest(payload);
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++inflight_;
   }
-  pool_->Submit([this, spec = request.spec, reply] {
-    std::string answer;
+  pool_->Submit([this, answer = std::move(answer), reply] {
+    std::string bytes;
     try {
-      answer = EncodeMineResponse(Scatter(spec));
+      bytes = answer();
     } catch (const ServeError& e) {
-      answer = EncodeErrorResponse(e.code(), e.what());
+      bytes = EncodeErrorResponse(e.code(), e.what());
     } catch (const std::exception& e) {
-      answer = EncodeErrorResponse(ServeErrorCode::kExecutionFailed,
-                                   e.what());
+      bytes = EncodeErrorResponse(ServeErrorCode::kExecutionFailed, e.what());
     }
-    reply.Send(std::move(answer));
+    reply.Send(std::move(bytes));
     std::lock_guard<std::mutex> lock(mu_);
     --inflight_;
   });
@@ -114,6 +101,45 @@ Frequency RouterBackend::ResolveShardSigma(const serve::TaskSpec& spec) const {
     sigma_prime = (sigma + k - 1) / k;
   }
   return std::min(std::max<Frequency>(sigma_prime, 1), sigma);
+}
+
+void RouterBackend::FanOut(const char* span_name,
+                          const obs::TraceContext& parent,
+                          const obs::TraceContext& incoming,
+                          const std::function<void(Leg&)>& body) {
+  std::vector<std::optional<ServeError>> failures(workers_.size());
+  // ParallelFor participates from the calling thread, so a fan-out works
+  // even when every pool worker is busy with other router requests.
+  // Exceptions must not escape the body (pool contract: they would kill
+  // the process).
+  pool_->ParallelFor(workers_.size(), [&](size_t w) {
+    WorkerSlot& slot = *workers_[w];
+    std::lock_guard<std::mutex> lock(slot.mu);
+    try {
+      if (!slot.client) {
+        slot.client = std::make_unique<NetClient>(
+            slot.address.host, slot.address.port, options_.client);
+      }
+      obs::Span span(&obs::Tracer::Global(), parent, span_name);
+      span.Tag("worker", slot.address.host + ":" +
+                             std::to_string(slot.address.port));
+      Leg leg{w, *slot.client, span, span.active() ? span.context() : incoming};
+      body(leg);
+    } catch (const ServeError& e) {
+      failures[w] = e;
+    } catch (const std::exception& e) {
+      failures[w].emplace(ServeErrorCode::kExecutionFailed, e.what());
+    }
+  });
+  for (size_t w = 0; w < workers_.size(); ++w) {
+    if (!failures[w]) continue;
+    if (scatter_worker_errors_ != nullptr) scatter_worker_errors_->Add();
+    const WorkerAddress& address = workers_[w]->address;
+    throw ServeError(failures[w]->code(),
+                     "worker " + address.host + ":" +
+                         std::to_string(address.port) + ": " +
+                         failures[w]->what());
+  }
 }
 
 MineResponse RouterBackend::Scatter(const serve::TaskSpec& spec) {
@@ -164,59 +190,40 @@ MineResponse RouterBackend::Scatter(const serve::TaskSpec& spec) {
 
   // Phase 1: scatter the mine at σ′ and un-truncated (top-k re-cut after
   // the merge). The per-request shard_sigma override is consumed here — it
-  // is router-level routing state, so the worker legs stay v1/v2 traffic
+  // is router-level routing state, so the worker legs carry shard_sigma 0
   // and the worker's answer stays cacheable under its own canonical key.
   serve::TaskSpec shard_spec = spec;
   shard_spec.params.sigma = sigma_prime;
   shard_spec.top_k = 0;
   shard_spec.shard_sigma = 0;
 
-  std::vector<MineReply> replies(workers_.size());
-  std::vector<std::string> errors(workers_.size());
-  std::vector<ServeErrorCode> codes(workers_.size(),
-                                    ServeErrorCode::kExecutionFailed);
-  // ParallelFor participates from the calling thread, so scatter works even
-  // when every pool worker is busy with other router requests. Exceptions
-  // must not escape the body (pool contract: they would kill the process).
-  pool_->ParallelFor(workers_.size(), [&](size_t w) {
-    WorkerSlot& slot = *workers_[w];
-    std::lock_guard<std::mutex> lock(slot.mu);
+  NamedPatternList candidates;
+  std::optional<Stopwatch> count_watch;  // Started by the count phase.
+  double count_ms = 0;
+  const auto end_count_phase = [&] {
+    count_ms = count_watch->ElapsedMs();
+    if (count_phase_ms_ != nullptr) count_phase_ms_->Record(count_ms);
+  };
+  // One leg per worker under the scatter span. A failed leg fails the whole
+  // query; the scatter span and the slow-query log record that first.
+  const auto fan_out = [&](const char* span_name,
+                           const std::function<void(Leg&)>& body) {
     try {
-      if (!slot.client) {
-        slot.client = std::make_unique<NetClient>(
-            slot.address.host, slot.address.port, options_.client);
-      }
-      obs::Span leg_span(&obs::Tracer::Global(), scatter_span.context(),
-                         "router.leg");
-      leg_span.Tag("worker", slot.address.host + ":" +
-                                 std::to_string(slot.address.port));
-      serve::TaskSpec leg_spec = shard_spec;
-      // The leg span parents the worker's serve.request; when this process
-      // records nowhere the incoming context is forwarded untouched, so a
-      // tracing worker behind a non-tracing router still joins the trace.
-      leg_spec.trace =
-          leg_span.active() ? leg_span.context() : shard_spec.trace;
-      replies[w] = slot.client->Mine(leg_spec);
-      errors[w].clear();
-    } catch (const ServeError& e) {
-      codes[w] = e.code();
-      errors[w] = e.what();
-    } catch (const std::exception& e) {
-      errors[w] = e.what();
-    }
-  });
-  for (size_t w = 0; w < workers_.size(); ++w) {
-    if (!errors[w].empty()) {
-      if (scatter_worker_errors_ != nullptr) scatter_worker_errors_->Add();
-      // One shard missing means the sum is wrong for every pattern it
-      // held; a partial answer would be silently incorrect.
+      FanOut(span_name, scatter_span.context(), spec.trace, body);
+    } catch (const ServeError&) {
+      if (count_watch) end_count_phase();
       scatter_span.Tag("outcome", "worker_error");
-      maybe_log_slow("worker_error", 0, 0);
-      throw ServeError(codes[w], "worker " + workers_[w]->address.host + ":" +
-                                     std::to_string(workers_[w]->address.port) +
-                                     ": " + errors[w]);
+      maybe_log_slow("worker_error", candidates.size(), count_ms);
+      throw;
     }
-  }
+  };
+
+  std::vector<MineReply> replies(workers_.size());
+  fan_out("router.leg", [&](Leg& leg) {
+    serve::TaskSpec leg_spec = shard_spec;
+    leg_spec.trace = leg.trace;  // The leg span parents serve.request.
+    replies[leg.worker] = leg.client.Mine(leg_spec);
+  });
 
   // Union of the phase-1 answers keyed on the canonical item-name bytes
   // (the same encoded-key-bytes identity the shuffle's ByteCombiner merges
@@ -242,9 +249,7 @@ MineResponse RouterBackend::Scatter(const serve::TaskSpec& spec) {
   // supports (there is no shard it could be missing from).
   const bool count_phase =
       sigma_prime > 1 && workers_.size() > 1 && !merged.empty();
-  NamedPatternList candidates;
   std::vector<Frequency> totals;
-  double count_ms = 0;
   if (count_phase) {
     candidates.reserve(merged.size());
     for (auto& [key, entry] : merged) {
@@ -270,56 +275,24 @@ MineResponse RouterBackend::Scatter(const serve::TaskSpec& spec) {
     count_request.lambda = spec.params.lambda;
     count_request.candidates = candidates;
 
-    const Stopwatch count_watch;
+    count_watch.emplace();
     std::vector<CountReply> count_replies(workers_.size());
-    pool_->ParallelFor(workers_.size(), [&](size_t w) {
-      WorkerSlot& slot = *workers_[w];
-      std::lock_guard<std::mutex> lock(slot.mu);
-      try {
-        if (!slot.client) {
-          slot.client = std::make_unique<NetClient>(
-              slot.address.host, slot.address.port, options_.client);
-        }
-        obs::Span count_span(&obs::Tracer::Global(), scatter_span.context(),
-                             "router.count");
-        count_span.Tag("worker", slot.address.host + ":" +
-                                     std::to_string(slot.address.port));
-        count_span.Tag("candidates", static_cast<double>(candidates.size()));
-        CountRequest leg = count_request;
-        leg.trace =
-            count_span.active() ? count_span.context() : shard_spec.trace;
-        CountReply reply = slot.client->Count(leg);
-        if (reply.supports.size() != candidates.size()) {
-          throw ServeError(ServeErrorCode::kExecutionFailed,
-                           "count reply carries " +
-                               std::to_string(reply.supports.size()) +
-                               " supports for " +
-                               std::to_string(candidates.size()) +
-                               " candidates");
-        }
-        count_replies[w] = std::move(reply);
-        errors[w].clear();
-      } catch (const ServeError& e) {
-        codes[w] = e.code();
-        errors[w] = e.what();
-      } catch (const std::exception& e) {
-        codes[w] = ServeErrorCode::kExecutionFailed;
-        errors[w] = e.what();
+    fan_out("router.count", [&](Leg& leg) {
+      leg.span.Tag("candidates", static_cast<double>(candidates.size()));
+      CountRequest leg_request = count_request;
+      leg_request.trace = leg.trace;
+      CountReply reply = leg.client.Count(leg_request);
+      if (reply.supports.size() != candidates.size()) {
+        throw ServeError(ServeErrorCode::kExecutionFailed,
+                         "count reply carries " +
+                             std::to_string(reply.supports.size()) +
+                             " supports for " +
+                             std::to_string(candidates.size()) +
+                             " candidates");
       }
+      count_replies[leg.worker] = std::move(reply);
     });
-    count_ms = count_watch.ElapsedMs();
-    if (count_phase_ms_ != nullptr) count_phase_ms_->Record(count_ms);
-    for (size_t w = 0; w < workers_.size(); ++w) {
-      if (!errors[w].empty()) {
-        if (scatter_worker_errors_ != nullptr) scatter_worker_errors_->Add();
-        scatter_span.Tag("outcome", "worker_error");
-        maybe_log_slow("worker_error", candidates.size(), count_ms);
-        throw ServeError(codes[w],
-                         "worker " + workers_[w]->address.host + ":" +
-                             std::to_string(workers_[w]->address.port) + ": " +
-                             errors[w]);
-      }
-    }
+    end_count_phase();
     totals.assign(candidates.size(), 0);
     for (const CountReply& reply : count_replies) {
       for (size_t i = 0; i < totals.size(); ++i) {
@@ -405,15 +378,12 @@ MineResponse RouterBackend::Scatter(const serve::TaskSpec& spec) {
 }
 
 serve::ServiceStats RouterBackend::AggregateStats() {
+  std::vector<serve::ServiceStats> per_worker(workers_.size());
+  // No request context: the legs' spans are inert.
+  FanOut("router.stats", obs::TraceContext{}, obs::TraceContext{},
+         [&](Leg& leg) { per_worker[leg.worker] = leg.client.Stats(); });
   serve::ServiceStats total;
-  bool first = true;
-  for (auto& slot : workers_) {
-    std::lock_guard<std::mutex> lock(slot->mu);
-    if (!slot->client) {
-      slot->client = std::make_unique<NetClient>(
-          slot->address.host, slot->address.port, options_.client);
-    }
-    const serve::ServiceStats stats = slot->client->Stats();
+  for (const serve::ServiceStats& stats : per_worker) {
     total.submitted += stats.submitted;
     total.hits += stats.hits;
     total.misses += stats.misses;
@@ -430,22 +400,13 @@ serve::ServiceStats RouterBackend::AggregateStats() {
     total.cache_evictions += stats.cache_evictions;
     total.cache_oversized_rejects += stats.cache_oversized_rejects;
     total.queue_depth += stats.queue_depth;
-    if (first) {
-      total.hit_p50_ms = stats.hit_p50_ms;
-      total.hit_p95_ms = stats.hit_p95_ms;
-      total.hit_mean_ms = stats.hit_mean_ms;
-      total.mine_p50_ms = stats.mine_p50_ms;
-      total.mine_p95_ms = stats.mine_p95_ms;
-      total.mine_mean_ms = stats.mine_mean_ms;
-      first = false;
-    } else {
-      total.hit_p50_ms = std::max(total.hit_p50_ms, stats.hit_p50_ms);
-      total.hit_p95_ms = std::max(total.hit_p95_ms, stats.hit_p95_ms);
-      total.hit_mean_ms = std::max(total.hit_mean_ms, stats.hit_mean_ms);
-      total.mine_p50_ms = std::max(total.mine_p50_ms, stats.mine_p50_ms);
-      total.mine_p95_ms = std::max(total.mine_p95_ms, stats.mine_p95_ms);
-      total.mine_mean_ms = std::max(total.mine_mean_ms, stats.mine_mean_ms);
-    }
+    // Latencies are non-negative, so the max over workers starts from 0.
+    total.hit_p50_ms = std::max(total.hit_p50_ms, stats.hit_p50_ms);
+    total.hit_p95_ms = std::max(total.hit_p95_ms, stats.hit_p95_ms);
+    total.hit_mean_ms = std::max(total.hit_mean_ms, stats.hit_mean_ms);
+    total.mine_p50_ms = std::max(total.mine_p50_ms, stats.mine_p50_ms);
+    total.mine_p95_ms = std::max(total.mine_p95_ms, stats.mine_p95_ms);
+    total.mine_mean_ms = std::max(total.mine_mean_ms, stats.mine_mean_ms);
   }
   return total;
 }

@@ -2,6 +2,7 @@
 #define LASH_NET_ROUTER_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string_view>
@@ -81,8 +82,8 @@ class RouterBackend : public Backend {
   /// callable in-process; bench_net uses this directly). A spec carrying an
   /// active trace context opens a router.scatter span under it, one
   /// router.leg span per worker (whose context travels to that worker as
-  /// the leg's kMineRequestV2 parent), one router.count span per count leg
-  /// when the two-phase count runs, and a router.merge span over the
+  /// the parent in the leg's kMineRequest), one router.count span per count
+  /// leg when the two-phase count runs, and a router.merge span over the
   /// reduction — the cross-process halves of one merged trace tree.
   MineResponse Scatter(const serve::TaskSpec& spec);
 
@@ -96,6 +97,28 @@ class RouterBackend : public Backend {
     std::mutex mu;  ///< One outstanding request per pooled connection.
     std::unique_ptr<NetClient> client;
   };
+
+  /// What one fan-out leg's body receives.
+  struct Leg {
+    size_t worker;      ///< Index into workers_.
+    NetClient& client;  ///< The worker's pooled connection.
+    obs::Span& span;    ///< The leg span (inert when nothing records).
+    /// The context to send: the leg span's own, or — when this process
+    /// records nowhere — the incoming one forwarded untouched, so a
+    /// tracing worker behind a non-tracing router still joins the trace.
+    obs::TraceContext trace;
+  };
+
+  /// Runs `body` once per worker, in parallel. Each leg holds its worker's
+  /// slot, connects lazily, and opens a `span_name` span under `parent`
+  /// (tagged with the worker's address). After every leg has finished,
+  /// the first failed leg is rethrown as ServeError "worker host:port: …"
+  /// with the worker's code (kExecutionFailed for anything untyped), and
+  /// router.scatter.worker_errors is counted: one missing shard makes
+  /// every merged sum wrong, so no partial answer is ever returned.
+  void FanOut(const char* span_name, const obs::TraceContext& parent,
+              const obs::TraceContext& incoming,
+              const std::function<void(Leg&)>& body);
 
   std::vector<std::unique_ptr<WorkerSlot>> workers_;
   RouterOptions options_;

@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "io/io_error.h"
 #include "net/socket.h"
 #include "net/wire.h"
 
@@ -261,10 +260,6 @@ class Loop {
     try {
       std::string payload;
       while (TryExtractFrame(&conn->rbuf, &payload) == FrameStatus::kFrame) {
-        if (payload.size() > core_->options.max_frame_bytes) {
-          throw IoError(IoErrorKind::kMalformed, 0,
-                        "frame exceeds the server's max_frame_bytes");
-        }
         if (core_->inst.frames_in != nullptr) core_->inst.frames_in->Add();
         auto target = std::make_shared<Reply::Target>();
         target->core = core_;

@@ -61,7 +61,6 @@ class Backend {
 struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   uint16_t port = 0;  ///< 0 = kernel-assigned ephemeral port.
-  uint32_t max_frame_bytes = 256u << 20;
   /// Registry for the net.server.* instruments: live connection count,
   /// accepted connections, frames/bytes in and out, protocol errors
   /// (malformed frames — each closes its connection) and per-connection

@@ -51,17 +51,14 @@ void ServiceBackend::Handle(std::string_view payload, Reply reply) {
         });
     return;
   }
-  if (type != MessageType::kMineRequest &&
-      type != MessageType::kMineRequestV2 &&
-      type != MessageType::kMineRequestV3) {
+  if (type != MessageType::kMineRequest) {
     // Responses (or anything else) arriving at a server are a protocol
     // violation; throwing makes the event loop close the connection.
     throw IoError(IoErrorKind::kMalformed, 0,
                   "server received a non-request message");
   }
-  const MineRequest request = DecodeMineRequest(payload);
-  Pending pending{service_->Submit(request.spec), request.spec,
-                  std::move(reply)};
+  const serve::TaskSpec spec = DecodeMineRequest(payload);
+  Pending pending{service_->Submit(spec), spec, std::move(reply)};
   {
     std::lock_guard<std::mutex> lock(mu_);
     inflight_.push_back(std::move(pending));

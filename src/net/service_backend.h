@@ -31,8 +31,8 @@ namespace lash::net {
 /// two-phase protocol) is likewise handed off — to a backend-owned counting
 /// pool that parallelizes over candidates (serve/support_count.h) and fires
 /// the Reply from a pool thread. Stats and metrics requests answer
-/// synchronously; v2/v3 mine requests carry a trace context that flows into
-/// the service's serve.* spans unchanged.
+/// synchronously; a mine request's trace context flows into the service's
+/// serve.* spans unchanged.
 class ServiceBackend : public Backend {
  public:
   /// Borrows the shards (which must outlive the backend). `options` are

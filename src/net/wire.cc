@@ -32,22 +32,38 @@ void AppendPayloadHeader(std::string* out, MessageType type) {
   out->push_back(static_cast<char>(type));
 }
 
-/// The 24-byte trace header shared by kMineRequestV2/V3 and kCountRequest:
-/// 16-byte trace id + 8-byte LE parent span. An inactive context encodes
-/// as 24 zero bytes and decodes back inactive.
-void AppendTraceContext(std::string* out, const obs::TraceContext& trace) {
+/// The body prefix shared by kMineRequest and kCountRequest (`Request` is
+/// serve::TaskSpec or CountRequest): the 24-byte trace context (16-byte
+/// trace id + 8-byte LE parent span; an inactive context encodes as 24 zero
+/// bytes and decodes back inactive), then `varint shard | f64 deadline`.
+template <typename Request>
+void AppendRequestPrefix(std::string* out, const Request& request) {
+  const obs::TraceContext& trace = request.trace;
   out->append(reinterpret_cast<const char*>(trace.trace_id.bytes.data()),
               trace.trace_id.bytes.size());
   PutFixed64(out, trace.parent_span);
+  PutVarint64(out, request.shard);
+  PutDoubleBits(out, request.deadline_ms);
 }
 
-obs::TraceContext ReadTraceContext(ByteReader& reader) {
+/// A mine request's prefix, held until the spec behind it is decoded. (A
+/// TaskSpec temporary would also run JobConfig's hardware_concurrency()
+/// default on every request.)
+struct RequestPrefix {
   obs::TraceContext trace;
+  size_t shard = 0;
+  double deadline_ms = 0;
+};
+
+template <typename Request>
+void ReadRequestPrefix(ByteReader& reader, Request* request) {
+  obs::TraceContext& trace = request->trace;
   const auto id = reader.ReadBytes(trace.trace_id.bytes.size(), "trace id");
   std::copy(id.begin(), id.end(),
             reinterpret_cast<char*>(trace.trace_id.bytes.data()));
   trace.parent_span = ReadFixed64(reader, "parent span");
-  return trace;
+  request->shard = reader.ReadVarint64("shard");
+  request->deadline_ms = ReadDoubleBits(reader, "deadline");
 }
 
 /// Consumes and validates the payload header, returning a reader positioned
@@ -56,19 +72,12 @@ obs::TraceContext ReadTraceContext(ByteReader& reader) {
 /// something to reinterpret).
 ByteReader OpenPayload(std::string_view payload, MessageType expected,
                        const char* what) {
+  const MessageType type = PeekMessageType(payload);
   ByteReader reader(payload, what);
-  const uint8_t version =
-      static_cast<uint8_t>(reader.ReadBytes(1, "wire version")[0]);
-  if (version != kWireVersion) {
-    throw IoError(IoErrorKind::kBadVersion, 0,
-                  std::string(what) + ": wire version " +
-                      std::to_string(version) + " (this peer understands " +
-                      std::to_string(kWireVersion) + ")");
-  }
-  const uint8_t type =
-      static_cast<uint8_t>(reader.ReadBytes(1, "message type")[0]);
-  if (type != static_cast<uint8_t>(expected)) {
-    reader.Malformed("unexpected message type " + std::to_string(type));
+  reader.ReadBytes(2, "payload header");
+  if (type != expected) {
+    reader.Malformed("unexpected message type " +
+                     std::to_string(static_cast<unsigned>(type)));
   }
   return reader;
 }
@@ -170,18 +179,27 @@ MessageType PeekMessageType(std::string_view payload) {
   }
   const uint8_t type =
       static_cast<uint8_t>(reader.ReadBytes(1, "message type")[0]);
-  if (type < static_cast<uint8_t>(MessageType::kMineRequest) ||
-      type > static_cast<uint8_t>(MessageType::kMineRequestV3)) {
-    reader.Malformed("unknown message type " + std::to_string(type));
+  // No default: -Wswitch flags a type added to the enum but not listed.
+  switch (static_cast<MessageType>(type)) {
+    case MessageType::kMineRequest:
+    case MessageType::kMineResponse:
+    case MessageType::kErrorResponse:
+    case MessageType::kStatsRequest:
+    case MessageType::kStatsResponse:
+    case MessageType::kMetricsRequest:
+    case MessageType::kMetricsResponse:
+    case MessageType::kCountRequest:
+    case MessageType::kCountResponse:
+      return static_cast<MessageType>(type);
   }
-  return static_cast<MessageType>(type);
+  reader.Malformed("unknown message type " + std::to_string(type));
 }
 
 std::string EncodeMineRequest(const serve::TaskSpec& spec) {
   std::string payload;
   AppendPayloadHeader(&payload, MessageType::kMineRequest);
-  PutVarint64(&payload, spec.shard);
-  PutDoubleBits(&payload, spec.deadline_ms);
+  AppendRequestPrefix(&payload, spec);
+  PutVarint64(&payload, spec.shard_sigma);
   // Dataset id 0 on the wire: the client cannot know the server's
   // process-unique dataset id, and the server re-keys against its own
   // shard ids anyway.
@@ -189,56 +207,18 @@ std::string EncodeMineRequest(const serve::TaskSpec& spec) {
   return payload;
 }
 
-std::string EncodeMineRequestV2(const serve::TaskSpec& spec) {
-  std::string payload;
-  AppendPayloadHeader(&payload, MessageType::kMineRequestV2);
-  AppendTraceContext(&payload, spec.trace);
-  PutVarint64(&payload, spec.shard);
-  PutDoubleBits(&payload, spec.deadline_ms);
-  payload.append(serve::EncodeCacheKey(0, spec));
-  return payload;
-}
-
-std::string EncodeMineRequestV3(const serve::TaskSpec& spec) {
-  std::string payload;
-  AppendPayloadHeader(&payload, MessageType::kMineRequestV3);
-  AppendTraceContext(&payload, spec.trace);
-  PutVarint64(&payload, spec.shard);
-  PutDoubleBits(&payload, spec.deadline_ms);
-  // The override sits with the other execution-shape knobs, in front of
-  // the cache-key bytes, which stay verbatim v1.
-  PutVarint64(&payload, spec.shard_sigma);
-  payload.append(serve::EncodeCacheKey(0, spec));
-  return payload;
-}
-
-MineRequest DecodeMineRequest(std::string_view payload) {
-  const MessageType type = PeekMessageType(payload);
-  if (type != MessageType::kMineRequest &&
-      type != MessageType::kMineRequestV2 &&
-      type != MessageType::kMineRequestV3) {
-    ByteReader header(payload, "mine request");
-    header.ReadBytes(2, "payload header");
-    header.Malformed("unexpected message type " +
-                     std::to_string(static_cast<unsigned>(type)));
-  }
-  ByteReader reader = OpenPayload(payload, type, "mine request");
-  obs::TraceContext trace;
-  if (type != MessageType::kMineRequest) {
-    trace = ReadTraceContext(reader);
-  }
-  const uint64_t shard = reader.ReadVarint64("shard");
-  const double deadline_ms = ReadDoubleBits(reader, "deadline");
-  const Frequency shard_sigma = type == MessageType::kMineRequestV3
-                                    ? reader.ReadVarint64("shard sigma")
-                                    : 0;
-  MineRequest request;
-  request.spec = serve::DecodeTaskSpec(payload.substr(reader.pos()));
-  request.spec.shard = shard;
-  request.spec.deadline_ms = deadline_ms;
-  request.spec.shard_sigma = shard_sigma;
-  request.spec.trace = trace;
-  return request;
+serve::TaskSpec DecodeMineRequest(std::string_view payload) {
+  ByteReader reader =
+      OpenPayload(payload, MessageType::kMineRequest, "mine request");
+  RequestPrefix routing;
+  ReadRequestPrefix(reader, &routing);
+  const Frequency shard_sigma = reader.ReadVarint64("shard sigma");
+  serve::TaskSpec spec = serve::DecodeTaskSpec(payload.substr(reader.pos()));
+  spec.trace = routing.trace;
+  spec.shard = routing.shard;
+  spec.deadline_ms = routing.deadline_ms;
+  spec.shard_sigma = shard_sigma;
+  return spec;
 }
 
 std::string EncodeMineResponse(const MineResponse& response) {
@@ -365,9 +345,7 @@ std::vector<obs::MetricSample> DecodeMetricsResponse(
 std::string EncodeCountRequest(const CountRequest& request) {
   std::string payload;
   AppendPayloadHeader(&payload, MessageType::kCountRequest);
-  AppendTraceContext(&payload, request.trace);
-  PutVarint64(&payload, request.shard);
-  PutDoubleBits(&payload, request.deadline_ms);
+  AppendRequestPrefix(&payload, request);
   payload.push_back(request.flat ? 1 : 0);
   PutVarint32(&payload, request.gamma);
   PutVarint32(&payload, request.lambda);
@@ -379,9 +357,7 @@ CountRequest DecodeCountRequest(std::string_view payload) {
   ByteReader reader = OpenPayload(payload, MessageType::kCountRequest,
                                   "count request");
   CountRequest request;
-  request.trace = ReadTraceContext(reader);
-  request.shard = reader.ReadVarint64("shard");
-  request.deadline_ms = ReadDoubleBits(reader, "deadline");
+  ReadRequestPrefix(reader, &request);
   const uint8_t flat = static_cast<uint8_t>(reader.ReadBytes(1, "flat")[0]);
   if (flat > 1) reader.Malformed("flat byte out of range");
   request.flat = flat != 0;

@@ -33,8 +33,10 @@
 /// typed IoError of io/io_error.h.
 namespace lash::net {
 
-/// Bump when any payload layout changes. Byte 0 of every payload.
-inline constexpr uint8_t kWireVersion = 1;
+/// Bump when any payload layout changes. Byte 0 of every payload. Version 2
+/// gave the mine request its single layout (trace context and shard-σ
+/// override always present); a version-1 payload is kBadVersion.
+inline constexpr uint8_t kWireVersion = 2;
 
 /// Frame header: the u32 little-endian payload length.
 inline constexpr size_t kFrameHeaderBytes = 4;
@@ -45,22 +47,18 @@ inline constexpr uint32_t kMaxFramePayloadBytes = 256u << 20;
 
 /// Byte 1 of every payload.
 ///
-/// Adding a MessageType is forward-compatible and does NOT bump
-/// kWireVersion (the version byte covers payload *layouts*): an old peer
-/// receiving an unknown type rejects that one payload as malformed and
-/// drops the connection, exactly as the framing contract specifies, while
-/// v1 traffic keeps flowing. PR 9 added 6–8 under this rule — an un-traced
-/// client talking to an upgraded worker, and vice versa for v1 requests,
-/// exchanges byte-identical frames.
+/// Adding a MessageType does NOT bump kWireVersion (the version byte covers
+/// payload *layouts*): a peer receiving a type it does not know rejects
+/// that one payload as malformed and drops the connection, exactly as the
+/// framing contract specifies. Values 6 and 11 carried the retired
+/// version-1 mine-request variants; they are unknown types now and must
+/// not be reused.
 enum class MessageType : uint8_t {
   kMineRequest = 1,
   kMineResponse = 2,
   kErrorResponse = 3,
   kStatsRequest = 4,
   kStatsResponse = 5,
-  /// kMineRequest plus a leading trace context (16-byte trace id + 8-byte
-  /// LE parent span id). The response types are shared with v1.
-  kMineRequestV2 = 6,
   kMetricsRequest = 7,
   kMetricsResponse = 8,
   /// Phase 2 of the router's two-phase candidate/count protocol (PR 10):
@@ -70,12 +68,6 @@ enum class MessageType : uint8_t {
   kCountRequest = 9,
   /// Index-aligned exact supports for one kCountRequest.
   kCountResponse = 10,
-  /// kMineRequestV2 plus a varint shard-σ override between the deadline
-  /// and the cache-key bytes. Clients pick this encoding iff
-  /// `spec.shard_sigma != 0`, so default traffic stays byte-identical to
-  /// v1/v2; the override travels outside the key bytes, exactly like
-  /// shard routing and the deadline.
-  kMineRequestV3 = 11,
 };
 
 /// Appends `payload` to `out` as one frame (length prefix + payload).
@@ -98,36 +90,24 @@ FrameStatus TryExtractFrame(std::string* buffer, std::string* payload);
 /// Throws IoError kBadVersion / kTruncated / kMalformed.
 MessageType PeekMessageType(std::string_view payload);
 
-/// A mining request as it crosses the wire: the target shard, the
-/// client-side deadline, and the canonical cache-key bytes of the spec.
-/// Execution-shape knobs (threads, job config) deliberately do not cross
-/// the wire — they are the *server's* resources to shape, exactly as they
-/// are excluded from the cache key.
-struct MineRequest {
-  serve::TaskSpec spec;
-};
-
-/// Payload of one kMineRequest. Any trace context on `spec` is dropped —
-/// v1 bytes are what a pre-PR-9 client would have sent.
+/// Payload of one kMineRequest. One layout carries every field a caller
+/// legitimately sends:
+///
+///   24B trace context | varint shard | f64 deadline | varint shard_sigma |
+///   EncodeCacheKey(0, spec)
+///
+/// The trace context is the 16-byte trace id plus the 8-byte LE parent
+/// span (24 zero bytes when the spec is untraced); `shard_sigma` is 0 when
+/// the spec sets no override. Routing, deadline, σ′ and trace stay outside
+/// the cache-key bytes, so none of them changes what a request hits or
+/// coalesces with. Execution-shape knobs (threads, job config) do not
+/// cross the wire at all — they are the *server's* resources to shape,
+/// exactly as they are excluded from the cache key.
 std::string EncodeMineRequest(const serve::TaskSpec& spec);
 
-/// Payload of one kMineRequestV2: the v1 body prefixed with the spec's
-/// trace context. The clients pick this encoding iff the spec carries an
-/// active trace id, so untraced traffic stays byte-identical to v1.
-std::string EncodeMineRequestV2(const serve::TaskSpec& spec);
-
-/// Payload of one kMineRequestV3: the v2 body plus `varint shard_sigma`
-/// between the deadline and the cache-key bytes. Clients pick this
-/// encoding iff `spec.shard_sigma != 0` (an inactive trace travels as its
-/// 24 zero bytes), so traffic without the override is byte-identical to
-/// what a pre-V3 client sends.
-std::string EncodeMineRequestV3(const serve::TaskSpec& spec);
-
-/// Decodes a kMineRequest, kMineRequestV2, or kMineRequestV3 payload
-/// (dispatches on the type byte; re-checks the version). A v1 payload
-/// yields an inactive `spec.trace`; v1/v2 payloads yield
-/// `spec.shard_sigma == 0`.
-MineRequest DecodeMineRequest(std::string_view payload);
+/// Decodes a kMineRequest payload back into the spec (key fields plus
+/// shard, deadline, shard_sigma and trace). Throws IoError.
+serve::TaskSpec DecodeMineRequest(std::string_view payload);
 
 /// A successful mining answer: the run summary, the serving-layer
 /// provenance bits, and the pattern stream in canonical wire order.
@@ -158,9 +138,9 @@ ErrorResponse DecodeErrorResponse(std::string_view payload);
 std::string EncodeStatsRequest();
 
 /// Payload of one kStatsResponse: every ServiceStats field. The layout is
-/// frozen at its v1 bytes — the full metrics snapshot travels over the
-/// separate kMetricsRequest/kMetricsResponse RPC instead of extending this
-/// body (which would demand a version bump).
+/// frozen — the full metrics snapshot travels over the separate
+/// kMetricsRequest/kMetricsResponse RPC instead of extending this body
+/// (which would demand a version bump).
 std::string EncodeStatsResponse(const serve::ServiceStats& stats);
 serve::ServiceStats DecodeStatsResponse(std::string_view payload);
 
@@ -180,7 +160,8 @@ std::vector<obs::MetricSample> DecodeMetricsResponse(std::string_view payload);
 /// mining, so there is no cache key to reuse — and the candidates ride the
 /// canonical EncodeNamedPatterns layout with frequency 0.
 struct CountRequest {
-  /// Trace context (always present on the wire; 24 zero bytes = inactive).
+  /// Trace context (24 zero bytes on the wire = inactive). With `shard`
+  /// and `deadline_ms` it forms the same body prefix as kMineRequest.
   obs::TraceContext trace{};
   /// Which Dataset shard of the worker answers (0 for single-shard workers).
   size_t shard = 0;

@@ -17,14 +17,14 @@
 /// network client); every stage it passes through — serve pipeline stages,
 /// MapReduce phases, router scatter legs — opens a Span under that id, and
 /// the spans of all participating processes merge into one tree by
-/// (trace_id, span_id, parent_id). Context crosses the wire inside the
-/// kMineRequestV2 message (net/wire.h); inside a process it travels on
-/// TaskSpec::trace plus a thread-local ambient context for layers (api/)
+/// (trace_id, span_id, parent_id). Context crosses the wire inside every
+/// kMineRequest and kCountRequest (net/wire.h); inside a process it travels
+/// on TaskSpec::trace plus a thread-local ambient context for layers (api/)
 /// that a TaskSpec does not reach.
 ///
 /// Spans are recorded only when both halves are on: the request carries an
 /// active trace id AND the process's Tracer has somewhere to put spans (a
-/// --trace-out JSONL file, or test-collection mode). An untraced v1 request
+/// --trace-out JSONL file, or test-collection mode). An untraced request
 /// through a tracing worker records nothing — tracing is strictly opt-in
 /// per request, so its cost is zero on the default path.
 ///
@@ -42,7 +42,7 @@ struct JobResult;
 namespace obs {
 
 /// 16 random bytes identifying one end-to-end request. All-zero = inactive
-/// (the v1 / untraced state).
+/// (the untraced state).
 struct TraceId {
   std::array<uint8_t, 16> bytes{};
 

@@ -43,14 +43,14 @@ struct TaskSpec {
   /// Per-request override of the router's phase-1 scatter threshold σ′
   /// (0 = the router's default: the pigeonhole bound ⌈σ/k⌉, see
   /// net/router.h). Only the router reads it — workers and the in-process
-  /// service ignore it — and like deadline/shard it travels *outside* the
-  /// cache-key bytes (kMineRequestV3), so it is deliberately EXCLUDED from
-  /// EncodeCacheKey: how a router gathers candidates must not change what
-  /// a worker's answer hits or coalesces with.
+  /// service ignore it — and like deadline/shard it travels in the
+  /// kMineRequest body *outside* the cache-key bytes, so it is deliberately
+  /// EXCLUDED from EncodeCacheKey: how a router gathers candidates must not
+  /// change what a worker's answer hits or coalesces with.
   Frequency shard_sigma = 0;
 
   /// Request trace context (obs/trace.h): inactive by default, stamped at
-  /// the edge, carried across the wire by kMineRequestV2. Like the
+  /// the edge, carried across the wire in every kMineRequest. Like the
   /// execution-shape knobs, deliberately EXCLUDED from EncodeCacheKey —
   /// tracing a request must not change what it hits or coalesces with.
   obs::TraceContext trace{};

@@ -210,19 +210,55 @@ TEST(WireFraming, OversizedLengthPrefixThrowsBeforeBuffering) {
 
 // ---- Message payloads -----------------------------------------------------
 
+/// The wire mutation sweep over one valid payload: every strict prefix must
+/// throw a typed IoError, and every single-byte mutant (each byte XOR 0x01
+/// and XOR 0x80) must either throw IoError or decode to a value that
+/// survives a round trip — its re-encoding decodes back to the same value,
+/// i.e. to the same (canonical) bytes.
+template <typename Decode, typename Encode>
+void ExpectMutantsRejectedOrStable(const std::string& payload, Decode decode,
+                                   Encode encode) {
+  for (size_t len = 0; len < payload.size(); ++len) {
+    EXPECT_THROW(decode(payload.substr(0, len)), IoError)
+        << "prefix of length " << len << " did not throw";
+  }
+  for (size_t i = 0; i < payload.size(); ++i) {
+    for (const uint8_t mask : {uint8_t{0x01}, uint8_t{0x80}}) {
+      std::string mutant = payload;
+      mutant[i] = static_cast<char>(static_cast<uint8_t>(mutant[i]) ^ mask);
+      std::string bytes;
+      try {
+        bytes = encode(decode(mutant));
+      } catch (const IoError&) {
+        continue;  // Rejected with a typed error.
+      }
+      EXPECT_EQ(encode(decode(bytes)), bytes)
+          << "byte " << i << " ^ " << static_cast<int>(mask)
+          << " decoded to a value that does not round-trip";
+    }
+  }
+}
+
 TEST(WireMessages, MineRequestRoundTrip) {
   TaskSpec spec = PaperSpec(Algorithm::kLash);
   spec.shard = 2;
   spec.deadline_ms = 750.5;
   spec.top_k = 9;
   const std::string payload = EncodeMineRequest(spec);
+  EXPECT_EQ(payload[0], static_cast<char>(kWireVersion));
   EXPECT_EQ(PeekMessageType(payload), MessageType::kMineRequest);
-  const MineRequest decoded = DecodeMineRequest(payload);
-  EXPECT_EQ(decoded.spec.shard, 2u);
-  EXPECT_EQ(decoded.spec.deadline_ms, 750.5);
-  EXPECT_EQ(decoded.spec.algorithm, Algorithm::kLash);
-  EXPECT_EQ(decoded.spec.top_k, 9u);
-  EXPECT_EQ(decoded.spec.params.sigma, 2u);
+  const TaskSpec decoded = DecodeMineRequest(payload);
+  EXPECT_EQ(decoded.shard, 2u);
+  EXPECT_EQ(decoded.deadline_ms, 750.5);
+  EXPECT_EQ(decoded.algorithm, Algorithm::kLash);
+  EXPECT_EQ(decoded.top_k, 9u);
+  EXPECT_EQ(decoded.params.sigma, 2u);
+  // An untraced request without an override carries the same fields: an
+  // inactive trace as 24 zero bytes, and shard_sigma 0.
+  EXPECT_FALSE(decoded.trace.active());
+  EXPECT_EQ(decoded.shard_sigma, 0u);
+  EXPECT_EQ(payload.substr(2, 24), std::string(24, '\0'));
+  EXPECT_EQ(EncodeMineRequest(decoded), payload);
 }
 
 TEST(WireMessages, MineResponseRoundTrip) {
@@ -278,34 +314,7 @@ TEST(WireMessages, ErrorAndStatsRoundTrip) {
   EXPECT_EQ(EncodeStatsResponse(decoded), stats_payload);
 }
 
-TEST(WireMessages, MineRequestV2CarriesTraceContext) {
-  TaskSpec spec = PaperSpec(Algorithm::kLash);
-  spec.shard = 1;
-  spec.deadline_ms = 250.25;
-  spec.trace.trace_id = obs::TraceId::Make();
-  spec.trace.parent_span = 0xdeadbeefcafef00dULL;
-
-  const std::string payload = EncodeMineRequestV2(spec);
-  EXPECT_EQ(PeekMessageType(payload), MessageType::kMineRequestV2);
-  const MineRequest decoded = DecodeMineRequest(payload);
-  EXPECT_EQ(decoded.spec.trace.trace_id, spec.trace.trace_id);
-  EXPECT_EQ(decoded.spec.trace.parent_span, spec.trace.parent_span);
-  EXPECT_EQ(decoded.spec.shard, 1u);
-  EXPECT_EQ(decoded.spec.deadline_ms, 250.25);
-  EXPECT_EQ(decoded.spec.algorithm, Algorithm::kLash);
-
-  // A v1 request decodes with an inactive trace — the traceless state —
-  // and its bytes are untouched by the v2 addition (no version bump).
-  const MineRequest v1 = DecodeMineRequest(EncodeMineRequest(spec));
-  EXPECT_FALSE(v1.spec.trace.active());
-  EXPECT_EQ(v1.spec.shard, 1u);
-
-  // Truncating the v2 trace header is a typed decode error.
-  EXPECT_THROW(DecodeMineRequest(std::string_view(payload).substr(0, 10)),
-               IoError);
-}
-
-TEST(WireMessages, MineRequestV3CarriesShardSigmaOutsideTheKey) {
+TEST(WireMessages, MineRequestCarriesTraceAndShardSigmaOutsideTheKey) {
   TaskSpec spec = PaperSpec(Algorithm::kLash);
   spec.shard = 1;
   spec.deadline_ms = 33.5;
@@ -313,27 +322,29 @@ TEST(WireMessages, MineRequestV3CarriesShardSigmaOutsideTheKey) {
   spec.trace.trace_id = obs::TraceId::Make();
   spec.trace.parent_span = 0x0123456789abcdefULL;
 
-  const std::string payload = EncodeMineRequestV3(spec);
-  EXPECT_EQ(PeekMessageType(payload), MessageType::kMineRequestV3);
-  const MineRequest decoded = DecodeMineRequest(payload);
-  EXPECT_EQ(decoded.spec.shard_sigma, 7u);
-  EXPECT_EQ(decoded.spec.shard, 1u);
-  EXPECT_EQ(decoded.spec.deadline_ms, 33.5);
-  EXPECT_EQ(decoded.spec.trace.trace_id, spec.trace.trace_id);
-  EXPECT_EQ(decoded.spec.trace.parent_span, spec.trace.parent_span);
-  EXPECT_EQ(decoded.spec.algorithm, Algorithm::kLash);
-  EXPECT_EQ(decoded.spec.params.sigma, 2u);
+  const std::string payload = EncodeMineRequest(spec);
+  EXPECT_EQ(PeekMessageType(payload), MessageType::kMineRequest);
+  const TaskSpec decoded = DecodeMineRequest(payload);
+  EXPECT_EQ(decoded.shard_sigma, 7u);
+  EXPECT_EQ(decoded.shard, 1u);
+  EXPECT_EQ(decoded.deadline_ms, 33.5);
+  EXPECT_EQ(decoded.trace.trace_id, spec.trace.trace_id);
+  EXPECT_EQ(decoded.trace.parent_span, spec.trace.parent_span);
+  EXPECT_EQ(decoded.algorithm, Algorithm::kLash);
+  EXPECT_EQ(decoded.params.sigma, 2u);
+  EXPECT_EQ(EncodeMineRequest(decoded), payload);
 
-  // v1/v2 payloads decode with the default (no override) — traffic without
-  // a shard-σ override never pays the v3 bytes.
-  EXPECT_EQ(DecodeMineRequest(EncodeMineRequest(spec)).spec.shard_sigma, 0u);
-  EXPECT_EQ(DecodeMineRequest(EncodeMineRequestV2(spec)).spec.shard_sigma, 0u);
+  // Routing, deadline, σ′ and trace all sit in front of the cache-key
+  // bytes, which end the payload verbatim; and a traced request is exactly
+  // as long as an untraced one.
+  const std::string key = serve::EncodeCacheKey(0, spec);
+  EXPECT_EQ(payload.substr(payload.size() - key.size()), key);
+  TaskSpec untraced = spec;
+  untraced.trace = obs::TraceContext{};
+  EXPECT_EQ(EncodeMineRequest(untraced).size(), payload.size());
 
-  // Every strict prefix is a typed decode error.
-  for (size_t len = 0; len < payload.size(); ++len) {
-    EXPECT_THROW(DecodeMineRequest(payload.substr(0, len)), IoError)
-        << "prefix of length " << len << " did not throw";
-  }
+  // Truncations throw; single-byte mutants throw or round-trip.
+  ExpectMutantsRejectedOrStable(payload, DecodeMineRequest, EncodeMineRequest);
 }
 
 TEST(WireMessages, CountRequestRoundTripAndTruncationMatrix) {
@@ -361,11 +372,10 @@ TEST(WireMessages, CountRequestRoundTripAndTruncationMatrix) {
   // Re-encoding the decoded request reproduces the payload bytes.
   EXPECT_EQ(EncodeCountRequest(decoded), payload);
 
-  // Every strict prefix is a typed decode error, and so is trailing junk.
-  for (size_t len = 0; len < payload.size(); ++len) {
-    EXPECT_THROW(DecodeCountRequest(payload.substr(0, len)), IoError)
-        << "prefix of length " << len << " did not throw";
-  }
+  // Truncations and trailing junk are typed decode errors; single-byte
+  // mutants throw or round-trip.
+  ExpectMutantsRejectedOrStable(payload, DecodeCountRequest,
+                                EncodeCountRequest);
   EXPECT_THROW(DecodeCountRequest(payload + "x"), IoError);
 }
 
@@ -385,10 +395,8 @@ TEST(WireMessages, CountResponseRoundTripAndTruncationMatrix) {
   EXPECT_TRUE(DecodeCountResponse(EncodeCountResponse(CountResponse{}))
                   .supports.empty());
 
-  for (size_t len = 0; len < payload.size(); ++len) {
-    EXPECT_THROW(DecodeCountResponse(payload.substr(0, len)), IoError)
-        << "prefix of length " << len << " did not throw";
-  }
+  ExpectMutantsRejectedOrStable(payload, DecodeCountResponse,
+                                EncodeCountResponse);
   EXPECT_THROW(DecodeCountResponse(payload + "x"), IoError);
 }
 
@@ -424,14 +432,38 @@ TEST(WireMessages, MalformedPayloadsThrow) {
   // Wrong type for the decoder.
   EXPECT_THROW(DecodeMineResponse(EncodeStatsRequest()), IoError);
   EXPECT_THROW(DecodeMineRequest(EncodeStatsRequest()), IoError);
-  // Unknown wire version.
-  std::string bad_version = EncodeStatsRequest();
-  bad_version[0] = 9;
-  try {
-    PeekMessageType(bad_version);
-    FAIL() << "bad wire version accepted";
-  } catch (const IoError& e) {
-    EXPECT_EQ(e.kind(), IoErrorKind::kBadVersion);
+  // Unknown wire versions, including version 1 (the layouts of the retired
+  // mine-request variants): the payload is kBadVersion, whatever its body.
+  const std::string mine = EncodeMineRequest(PaperSpec(Algorithm::kLash));
+  for (const char version : {char{1}, char{9}}) {
+    std::string bad_version = mine;
+    bad_version[0] = version;
+    try {
+      PeekMessageType(bad_version);
+      FAIL() << "wire version " << int{version} << " accepted";
+    } catch (const IoError& e) {
+      EXPECT_EQ(e.kind(), IoErrorKind::kBadVersion);
+    }
+    try {
+      DecodeMineRequest(bad_version);
+      FAIL() << "wire version " << int{version} << " decoded";
+    } catch (const IoError& e) {
+      EXPECT_EQ(e.kind(), IoErrorKind::kBadVersion);
+    }
+  }
+  // Type bytes that name no message are kMalformed, not reinterpreted —
+  // among them 6 and 11, the retired version-1 traced and shard-σ mine
+  // requests.
+  for (const char type : {char{0}, char{6}, char{11}, char{12}}) {
+    std::string unknown = mine;
+    unknown[1] = type;
+    try {
+      PeekMessageType(unknown);
+      FAIL() << "message type " << int{type} << " accepted";
+    } catch (const IoError& e) {
+      EXPECT_EQ(e.kind(), IoErrorKind::kMalformed);
+    }
+    EXPECT_THROW(DecodeMineRequest(unknown), IoError);
   }
   // Truncated mid-message.
   const std::string response = EncodeMineResponse(MineResponse{});
@@ -573,6 +605,18 @@ TEST_F(NetLoopbackTest, RouterMergesTwoShardsExactly) {
   ASSERT_EQ(topk.patterns.size(), 3u);
   EXPECT_EQ(topk.patterns,
             NamedPatternList(full.patterns.begin(), full.patterns.begin() + 3));
+
+  // The router's stats RPC fans out too and sums the workers' counters.
+  const serve::ServiceStats total = client.Stats();
+  NetClient even_client("127.0.0.1", worker_even.port());
+  NetClient odd_client("127.0.0.1", worker_odd.port());
+  const serve::ServiceStats even_stats = even_client.Stats();
+  const serve::ServiceStats odd_stats = odd_client.Stats();
+  EXPECT_GT(total.submitted, 0u);
+  EXPECT_EQ(total.submitted, even_stats.submitted + odd_stats.submitted);
+  EXPECT_EQ(total.executions, even_stats.executions + odd_stats.executions);
+  EXPECT_EQ(total.mine_p95_ms,
+            std::max(even_stats.mine_p95_ms, odd_stats.mine_p95_ms));
 }
 
 TEST_F(NetLoopbackTest, TwoPhaseCountPhaseMatchesLegacyAndInProcess) {
@@ -757,7 +801,7 @@ TEST_F(NetLoopbackTest, OneTraceIdSpansClientRouterAndBothWorkers) {
 
   // The traced request goes first, so it is a cold miss on both workers
   // and exercises the full pipeline (queue, mine, MapReduce export). The
-  // untraced (v1) request follows through the same collecting tracer; the
+  // untraced request follows through the same collecting tracer; the
   // single-trace-id assertion below doubles as the proof that it recorded
   // nothing. (Collection drains once, after both: a worker's serve.deliver
   // span lands just after its reply is sent, so a drain between the two
@@ -765,18 +809,18 @@ TEST_F(NetLoopbackTest, OneTraceIdSpansClientRouterAndBothWorkers) {
   obs::Tracer::Global().StartCollecting();
   TaskSpec traced = PaperSpec(Algorithm::kLash);
   traced.trace.trace_id = obs::TraceId::Make();
-  const MineReply v2_reply = client.Mine(traced);
+  const MineReply traced_reply = client.Mine(traced);
   TaskSpec untraced = PaperSpec(Algorithm::kLash);
-  const MineReply v1_reply = client.Mine(untraced);
+  const MineReply untraced_reply = client.Mine(untraced);
   std::vector<obs::SpanRecord> spans = obs::Tracer::Global().TakeCollected();
   obs::Tracer::Global().StopCollecting();
 
-  // Tracing must not change the answer: the traced (v2, cold) reply is
-  // pattern-identical to the untraced (v1, cache-hit) one.
-  EXPECT_EQ(Bytes(v2_reply.patterns), Bytes(v1_reply.patterns));
+  // Tracing must not change the answer: the traced (cold) reply is
+  // pattern-identical to the untraced (cache-hit) one.
+  EXPECT_EQ(Bytes(traced_reply.patterns), Bytes(untraced_reply.patterns));
 
   // First pass: index the spans. Every span belongs to THE trace — the
-  // v1 request contributed none.
+  // untraced request contributed none.
   ASSERT_FALSE(spans.empty());
   std::map<uint64_t, const obs::SpanRecord*> by_id;
   std::multiset<std::string> names;
@@ -891,6 +935,14 @@ TEST(NetFaultTest, RouterSurfacesDeadWorkerAsExecutionFailed) {
   try {
     router.Scatter(PaperSpec(Algorithm::kSequential));
     FAIL() << "scattered to a dead worker";
+  } catch (const ServeError& e) {
+    EXPECT_EQ(e.code(), ServeErrorCode::kExecutionFailed);
+    EXPECT_NE(std::string(e.what()).find("worker"), std::string::npos);
+  }
+  // The stats fan-out fails the same way.
+  try {
+    router.AggregateStats();
+    FAIL() << "aggregated stats from a dead worker";
   } catch (const ServeError& e) {
     EXPECT_EQ(e.code(), ServeErrorCode::kExecutionFailed);
     EXPECT_NE(std::string(e.what()).find("worker"), std::string::npos);

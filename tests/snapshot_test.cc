@@ -387,6 +387,34 @@ TEST(SnapshotTest, CorpusChecksumIsDeferredUnderMmap) {
   }
 }
 
+TEST(SnapshotTest, MappedRawCorpusRejectsOutOfRangeRank) {
+  // An out-of-range rank under a re-sealed arena checksum: a mapped load
+  // defers the corpus checks, so the lazy raw-corpus rebuild is the first
+  // code to read the rank. It must raise a typed error — every time it is
+  // asked, since a failed build leaves nothing behind — not index past the
+  // rank table.
+  std::string bytes = SnapshotBytes(PaperDataset());
+  const SectionInfo arena = FindSection(bytes, kCorpusArenaSectionId);
+  const uint32_t rank = 1u << 30;
+  for (int i = 0; i < 4; ++i) {
+    bytes[arena.offset + 8 + i] = static_cast<char>((rank >> (8 * i)) & 0xff);
+  }
+  StoreLeU64At(&bytes, arena.table_pos + 24,
+               FnvHashBytes(bytes.data() + arena.offset, arena.length));
+
+  Dataset mapped = FromBytes(bytes, Dataset::LoadMode::kMmap);
+  ASSERT_TRUE(mapped.mmap_backed());
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    try {
+      mapped.raw_database();
+      FAIL() << "out-of-range rank accepted, attempt " << attempt;
+    } catch (const IoError& e) {
+      EXPECT_EQ(e.kind(), IoErrorKind::kMalformed) << e.what();
+    }
+  }
+  EXPECT_THROW(mapped.VerifyCorpus(), IoError);
+}
+
 TEST(SnapshotTest, RejectsMissingFile) {
   EXPECT_THROW(Dataset::FromSnapshot("/nonexistent/path/snapshot.lash"),
                ApiError);

@@ -49,7 +49,9 @@ TEST_F(SupportCountTest, CountingMatchesMiningAcrossTheGrid) {
           spec.params = {.sigma = sigma, .gamma = gamma, .lambda = lambda};
           spec.flat = flat;
           serve::MiningService service(dataset_);
-          const serve::Response& response = service.Submit(spec).Get();
+          // Get() returns into the pending result's state: keep it alive.
+          const serve::PendingResult pending = service.Submit(spec);
+          const serve::Response& response = pending.Get();
           const NamedPatternList mined =
               NamePatterns(dataset_, response.patterns(),
                            response.run().used_flat_hierarchy);

@@ -275,8 +275,8 @@ int RunNetworkCommands(std::istream& in, net::NetClient& client,
           // wins. 0 leaves the router's own default (the pigeonhole bound).
           if (spec.shard_sigma == 0) spec.shard_sigma = default_shard_sigma;
           // Minted here, at the edge: the client.mine root span owns the
-          // round trip, and its context rides the v2 wire message through
-          // the router to every worker. Untraced runs stay v1.
+          // round trip, and its context rides the mine request through the
+          // router to every worker. Untraced runs send an inactive context.
           obs::Span root(&obs::Tracer::Global(), tools::NewRequestTrace(),
                          "client.mine");
           spec.trace = root.context();

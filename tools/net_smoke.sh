@@ -133,7 +133,7 @@ echo "net_smoke: router top-k re-cut ok"
 # → mr.job — records on each, followed by the count phase's router.count
 # legs and each shard's serve.count recount. lash_serve mints the root
 # trace id (--trace-out enables tracing at the edge) and the id rides the
-# kMineRequestV2 frame through the router to every worker.
+# mine request through the router to every worker.
 echo "mine algo=lash sigma=8 gamma=2 lambda=3" >q.script
 "$SERVE" --connect "127.0.0.1:$ROUTER_PORT" --script q.script --print 0 \
          --trace-out client.trace.jsonl >traced.router.txt 2>>serve.log

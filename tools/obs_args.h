@@ -25,7 +25,7 @@ inline bool MaybeOpenTraceFile(const Args& args) {
 
 /// A fresh root trace context for one tool-issued request — the edge of
 /// the trace, where ids are minted. Inactive when the tracer has no sink,
-/// so untraced tool runs keep sending v1 (traceless) requests.
+/// so untraced tool runs send requests that record no spans anywhere.
 inline obs::TraceContext NewRequestTrace() {
   if (!obs::Tracer::Global().enabled()) return {};
   return obs::TraceContext{obs::TraceId::Make(), 0};
