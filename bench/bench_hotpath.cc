@@ -4,7 +4,7 @@
 // pre-optimization implementation (LegacyPsmMiner) on the NYT-like
 // deep-hierarchy corpus and the AMZN-like product sessions, asserts exact
 // PatternMap parity (including against the naive enumeration miner), times
-// serial vs. parallel pivot mining, and writes the results as
+// MineSequential at 1 vs. all threads, and writes the results as
 // machine-readable JSON (BENCH_hotpath.json by default).
 //
 // Usage: bench_hotpath [--smoke] [--out FILE]
@@ -76,8 +76,8 @@ struct Partitions {
 
 Partitions BuildPartitions(const PreprocessResult& pre,
                            const GsmParams& params) {
-  // Uses the production partitioning helpers so the bench times mining on
-  // exactly the partitions MineSequential would mine.
+  // Uses the per-pivot reference builder; its partitions equal the ones the
+  // fused production path aggregates (hotpath_test checks their shape).
   Partitions out;
   const ItemId num_frequent = static_cast<ItemId>(pre.NumFrequent(params.sigma));
   Rewriter rewriter(&pre.hierarchy, params.gamma, params.lambda);

@@ -6,7 +6,9 @@
 // per-pair heap spill, unordered_map grouping, std::map partitions, serial
 // partition mining) on the full-size NYT-like and AMZN-like generated
 // corpora. Asserts:
-//   * pattern parity of both paths against each other and MineSequential,
+//   * pattern parity of both paths against each other and against the
+//     per-pivot reference builder (BuildPivotIndex + BuildPivotPartition)
+//     mined by a LocalMiner (JSON field `sequential_match`),
 //   * MAP_OUTPUT_BYTES parity: the packed path counts real encoded buffer
 //     bytes; the legacy path simulates the same varint accounting — equal
 //     option sets must produce identical byte counts,
@@ -34,6 +36,7 @@
 
 #include "algo/lash.h"
 #include "algo/sequential.h"
+#include "core/rewrite.h"
 #include "datagen/corpus_recipes.h"
 #include "util/timer.h"
 
@@ -68,6 +71,25 @@ struct WorkloadReport {
   bool sequential_match = true;
   bool bytes_match = true;
 };
+
+// The per-pivot reference builder mined by a PSM+Index LocalMiner. It shares
+// neither the fused rewrite nor the shuffle with the packed driver.
+PatternMap MinePerPivotReference(const PreprocessResult& pre,
+                                 const GsmParams& params) {
+  const ItemId num_frequent = static_cast<ItemId>(pre.NumFrequent(params.sigma));
+  Rewriter rewriter(&pre.hierarchy, params.gamma, params.lambda);
+  auto miner = MakeLocalMiner(MinerKind::kPsmIndex, &pre.hierarchy, params);
+  auto tids = BuildPivotIndex(pre, num_frequent);
+  PatternMap output;
+  for (ItemId pivot = 1; pivot <= num_frequent; ++pivot) {
+    Partition partition =
+        BuildPivotPartition(pre, rewriter, pivot, tids[pivot]);
+    if (partition.size() == 0) continue;
+    PatternMap mined = miner->Mine(partition, pivot, /*stats=*/nullptr);
+    output.merge(mined);
+  }
+  return output;
+}
 
 // Runs one repetition of a path and folds it into `out`: the fastest
 // total is reported (damps scheduler noise), counters come from the first
@@ -139,10 +161,10 @@ WorkloadReport RunWorkload(const std::string& name,
                  name.c_str());
     report.parity = false;
   }
-  PatternMap sequential = MineSequential(pre, params, MinerKind::kPsmIndex,
-                                         /*stats=*/nullptr, /*num_threads=*/0);
-  if (SortedPatterns(report.packed.output) != SortedPatterns(sequential)) {
-    std::fprintf(stderr, "PARITY FAILURE: packed vs MineSequential on %s\n",
+  if (SortedPatterns(report.packed.output) !=
+      SortedPatterns(MinePerPivotReference(pre, params))) {
+    std::fprintf(stderr,
+                 "PARITY FAILURE: packed vs per-pivot reference on %s\n",
                  name.c_str());
     report.sequential_match = false;
   }

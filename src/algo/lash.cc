@@ -29,11 +29,12 @@ void CollectFrequentPivots(SequenceView t, const Hierarchy& h,
   pivots->erase(std::unique(pivots->begin(), pivots->end()), pivots->end());
 }
 
-// The packed-spill LASH driver. Per worker thread: one ScratchRewriter and
-// reusable pivot/rewrite/key buffers, so the map phase performs no
-// steady-state heap allocation. Per reduce task: partitions accumulate in a
-// flat vector (slot index per pivot) and reduce_finish mines them pivot-
-// sorted, in parallel over pivots on the job's own pool.
+// The packed-spill LASH driver. Per worker thread: one ScratchRewriter,
+// reusable pivot/rewrite/key buffers (so the map phase performs no
+// steady-state heap allocation), one local miner and one output map. Per
+// reduce task: partitions accumulate in a flat vector (slot index per
+// pivot) and reduce_finish mines them pivot-sorted, in parallel over pivots
+// on the job's own pool.
 AlgoResult RunLashPacked(const PreprocessResult& pre, const GsmParams& params,
                          const JobConfig& config, const LashOptions& options) {
   const Hierarchy& h = pre.hierarchy;
@@ -41,15 +42,27 @@ AlgoResult RunLashPacked(const PreprocessResult& pre, const GsmParams& params,
   const size_t num_red = std::max<size_t>(1, config.num_reduce_tasks);
   const size_t num_threads = std::max<size_t>(1, config.num_threads);
 
-  // Per-worker map-side scratch, indexed by ThreadPool::CurrentIndex().
-  // Map tasks always run on pool workers, so the index is always valid.
-  struct MapScratch {
+  // Per-worker state, indexed by ThreadPool::CurrentIndex(). Map tasks and
+  // the mining ParallelFor bodies always run on pool workers, and a worker
+  // runs one of them at a time, so the slots are race-free.
+  struct WorkerState {
     std::unique_ptr<ScratchRewriter> rewriter;
     Sequence pivots;
     Sequence rewritten;
     Sequence key;
+    std::unique_ptr<LocalMiner> miner;
+    PatternMap output;
+    MinerStats stats;
   };
-  std::vector<MapScratch> map_scratch(num_threads);
+  std::vector<WorkerState> workers(num_threads);
+  // Worker 0's rewriter and miner are built here on the calling thread, so
+  // invalid inputs (an unknown miner kind, a hierarchy that is not
+  // rank-monotone) throw to the caller; inside a pool task the exception
+  // would terminate the process. The other workers build theirs lazily
+  // from the same, now validated, arguments.
+  workers[0].rewriter =
+      std::make_unique<ScratchRewriter>(&h, params.gamma, params.lambda);
+  workers[0].miner = MakeLocalMiner(options.miner, &h, params);
 
   // Per reduce task: flat partitions (one slot per pivot seen) plus a
   // slot directory. With the packed shuffle keys arrive grouped by
@@ -61,8 +74,6 @@ AlgoResult RunLashPacked(const PreprocessResult& pre, const GsmParams& params,
     std::unordered_map<ItemId, uint32_t> slot_of_pivot;
   };
   std::vector<ReduceState> reduce_state(num_red);
-  std::vector<PatternMap> outputs(num_red);
-  std::vector<MinerStats> stats(num_red);
   std::vector<PartitionShape> shapes(num_red);
 
   AlgoResult result;
@@ -74,7 +85,7 @@ AlgoResult RunLashPacked(const PreprocessResult& pre, const GsmParams& params,
   Job job(
       // Map = partitioning phase (Alg. 1 lines 1-5).
       [&](SequenceView t, const Job::EmitFn& emit) {
-        MapScratch& scratch = map_scratch[ThreadPool::CurrentIndex()];
+        WorkerState& scratch = workers[ThreadPool::CurrentIndex()];
         if (!scratch.rewriter) {
           scratch.rewriter = std::make_unique<ScratchRewriter>(
               &h, params.gamma, params.lambda);
@@ -176,9 +187,8 @@ AlgoResult RunLashPacked(const PreprocessResult& pre, const GsmParams& params,
 
   job.set_reduce_finish([&](size_t rtask, ThreadPool* pool) {
     // Mining phase (Alg. 1 lines 7-11), parallel over pivots. Pivot
-    // outputs are disjoint (every pattern names its pivot as max item),
-    // so per-worker maps merge to the same result in any order — the same
-    // argument MineSequential relies on.
+    // outputs are disjoint (every pattern names its pivot as max item), so
+    // the per-worker maps merge to the same result in any order.
     ReduceState& state = reduce_state[rtask];
     const size_t n = state.pivots.size();
     std::vector<uint32_t> order(n);
@@ -192,14 +202,6 @@ AlgoResult RunLashPacked(const PreprocessResult& pre, const GsmParams& params,
       shapes[rtask].max_partition =
           std::max<uint64_t>(shapes[rtask].max_partition, partition.size());
     }
-    struct WorkerState {
-      std::unique_ptr<LocalMiner> miner;
-      PatternMap output;
-      MinerStats stats;
-    };
-    // Indexed by pool worker; ParallelFor bodies of one call never share a
-    // worker thread concurrently, so the slots are race-free.
-    std::vector<WorkerState> workers(num_threads);
     pool->ParallelFor(n, [&](size_t i) {
       WorkerState& ws = workers[ThreadPool::CurrentIndex()];
       if (!ws.miner) ws.miner = MakeLocalMiner(options.miner, &h, params);
@@ -207,17 +209,18 @@ AlgoResult RunLashPacked(const PreprocessResult& pre, const GsmParams& params,
       PatternMap mined = ws.miner->Mine(state.partitions[slot],
                                         state.pivots[slot], &ws.stats);
       ws.output.merge(mined);
+      // A mined partition is never read again; free it now instead of
+      // holding the whole reduce task's partitions until the loop ends.
+      state.partitions[slot] = Partition{};
     });
-    for (WorkerState& ws : workers) {
-      outputs[rtask].merge(ws.output);
-      stats[rtask].Merge(ws.stats);
-    }
     state = ReduceState{};
   });
 
   result.job = job.Run(pre.database, config);
-  for (PatternMap& part : outputs) result.patterns.merge(part);
-  for (const MinerStats& s : stats) result.miner_stats.Merge(s);
+  for (WorkerState& ws : workers) {
+    result.patterns.merge(ws.output);
+    result.miner_stats.Merge(ws.stats);
+  }
   for (const PartitionShape& s : shapes) result.partition_shape.Merge(s);
   return result;
 }

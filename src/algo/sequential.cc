@@ -1,16 +1,27 @@
 #include "algo/sequential.h"
 
-#include <algorithm>
-#include <atomic>
-#include <exception>
-#include <mutex>
-#include <thread>
-#include <vector>
+#include <utility>
 
 #include "core/rewrite.h"
-#include "util/thread_pool.h"
 
 namespace lash {
+
+PatternMap MineSequential(const PreprocessResult& pre, const GsmParams& params,
+                          MinerKind miner, MinerStats* stats,
+                          size_t num_threads) {
+  LashOptions options;
+  options.miner = miner;
+  AlgoResult result =
+      RunLash(pre, params, SequentialJobConfig(num_threads), options);
+  if (stats != nullptr) stats->Merge(result.miner_stats);
+  return std::move(result.patterns);
+}
+
+JobConfig SequentialJobConfig(size_t num_threads) {
+  JobConfig config;
+  if (num_threads > 0) config.num_threads = num_threads;
+  return config;
+}
 
 std::vector<std::vector<uint32_t>> BuildPivotIndex(const PreprocessResult& pre,
                                                    ItemId num_frequent) {
@@ -45,95 +56,6 @@ Partition BuildPivotPartition(const PreprocessResult& pre,
     partition.Add(seq, weight);
   }
   return partition;
-}
-
-namespace {
-
-// Mines one pivot's partition and merges the result into `output`; pivots
-// are disjoint so no cross-pivot state is needed.
-void MineOnePivot(const PreprocessResult& pre, const Rewriter& rewriter,
-                  LocalMiner& miner, ItemId pivot,
-                  const std::vector<uint32_t>& tids, PatternMap* output,
-                  MinerStats* stats) {
-  Partition partition = BuildPivotPartition(pre, rewriter, pivot, tids);
-  if (partition.size() == 0) return;
-  PatternMap mined = miner.Mine(partition, pivot, stats);
-  output->merge(mined);
-}
-
-}  // namespace
-
-PatternMap MineSequential(const PreprocessResult& pre, const GsmParams& params,
-                          MinerKind miner_kind, MinerStats* stats,
-                          size_t num_threads) {
-  params.Validate();
-  const Hierarchy& h = pre.hierarchy;
-  const ItemId num_frequent = static_cast<ItemId>(pre.NumFrequent(params.sigma));
-  // Constructed on the calling thread so invalid inputs (e.g. a
-  // non-rank-monotone hierarchy) throw to the caller instead of inside a
-  // pool worker, where an escaping exception would terminate the process.
-  // Rewriter is stateless const, so the workers can all share it.
-  Rewriter rewriter(&h, params.gamma, params.lambda);
-
-  // Afterwards only the relevant transactions are rewritten per pivot and
-  // memory never holds more than one partition per worker.
-  std::vector<std::vector<uint32_t>> transactions_of_pivot =
-      BuildPivotIndex(pre, num_frequent);
-
-  if (num_threads == 0) num_threads = std::thread::hardware_concurrency();
-  num_threads = std::max<size_t>(1, std::min<size_t>(num_threads, num_frequent));
-
-  if (num_threads == 1) {
-    PatternMap output;
-    auto miner = MakeLocalMiner(miner_kind, &h, params);
-    for (ItemId pivot = 1; pivot <= num_frequent; ++pivot) {
-      MineOnePivot(pre, rewriter, *miner, pivot, transactions_of_pivot[pivot],
-                   &output, stats);
-    }
-    return output;
-  }
-
-  // Parallel pivot mining: workers claim pivots off an atomic counter
-  // (cheap dynamic load balancing — partition sizes are heavily skewed
-  // toward small pivots) and mine into per-worker maps.
-  std::atomic<ItemId> next_pivot{1};
-  std::atomic<bool> failed{false};
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-  std::vector<PatternMap> outputs(num_threads);
-  std::vector<MinerStats> worker_stats(num_threads);
-  ThreadPool pool(num_threads);
-  for (size_t w = 0; w < num_threads; ++w) {
-    pool.Submit([&, w] {
-      // An exception escaping a ThreadPool task terminates the process, so
-      // capture and rethrow on the calling thread after Wait() — the same
-      // contract the serial path (and callers) already have.
-      try {
-        auto miner = MakeLocalMiner(miner_kind, &h, params);
-        MinerStats* worker = stats != nullptr ? &worker_stats[w] : nullptr;
-        while (!failed.load(std::memory_order_relaxed)) {
-          ItemId pivot = next_pivot.fetch_add(1, std::memory_order_relaxed);
-          if (pivot > num_frequent) break;
-          MineOnePivot(pre, rewriter, *miner, pivot,
-                       transactions_of_pivot[pivot], &outputs[w], worker);
-        }
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!failed.exchange(true)) first_error = std::current_exception();
-      }
-    });
-  }
-  pool.Wait();
-  if (first_error) std::rethrow_exception(first_error);
-
-  // Pivot outputs are disjoint (every pattern names its pivot as max item),
-  // so merge order cannot change the result.
-  PatternMap output;
-  for (PatternMap& part : outputs) output.merge(part);
-  if (stats != nullptr) {
-    for (const MinerStats& s : worker_stats) stats->Merge(s);
-  }
-  return output;
 }
 
 }  // namespace lash

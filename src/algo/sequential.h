@@ -2,7 +2,9 @@
 #define LASH_ALGO_SEQUENTIAL_H_
 
 #include <cstddef>
+#include <vector>
 
+#include "algo/lash.h"
 #include "core/flist.h"
 #include "core/params.h"
 #include "miner/miner.h"
@@ -10,36 +12,34 @@
 
 namespace lash {
 
-/// Single-node GSM without the MapReduce substrate: the partition/mine
-/// pipeline of LASH executed in-process, partition by partition.
-///
-/// This is the entry point for library users who just want the algorithm —
-/// e.g. to embed hierarchy-aware sequence mining inside another system —
-/// and it is what the paper calls running the "customized GSM algorithm"
-/// directly (Sec. 5). Memory never holds more than one partition per
-/// worker.
-///
-/// Pivots are independent, so partitions are mined in parallel on a
-/// ThreadPool: `num_threads` workers claim pivots from a shared atomic
-/// counter, each mines into its own PatternMap with its own Rewriter and
-/// local miner, and the per-worker maps are merged at the end (pivot
-/// outputs are disjoint, so the result is identical to a serial run).
-/// `num_threads == 0` (the default) uses the hardware concurrency;
-/// `num_threads == 1` runs inline without spawning workers.
+/// Single-node GSM for library users who just want the algorithm (what the
+/// paper calls running the "customized GSM algorithm" directly, Sec. 5):
+/// RunLash on SequentialJobConfig(num_threads) with `miner` as the local
+/// miner and the other LashOptions at their defaults, so both entry points
+/// share one partition builder. The output does not depend on the thread
+/// count (0 = the hardware concurrency).
 ///
 /// `pre` must come from Preprocess()/PreprocessWithJob(). Returns patterns
-/// in rank-id space with their frequencies; `stats`, if non-null, receives
-/// the local miners' search-space accounting.
+/// in rank-id space with their frequencies; `stats`, if non-null,
+/// accumulates the local miners' search-space accounting. Invalid inputs
+/// throw std::invalid_argument on the calling thread.
 PatternMap MineSequential(const PreprocessResult& pre, const GsmParams& params,
                           MinerKind miner = MinerKind::kPsmIndex,
                           MinerStats* stats = nullptr, size_t num_threads = 0);
 
+/// The job shape MineSequential runs: default task counts, and
+/// `num_threads` workers (0 = the hardware concurrency).
+JobConfig SequentialJobConfig(size_t num_threads);
+
 class Rewriter;
 
+/// The per-pivot reference partition builder (this and the next function):
+/// tests and benches check RunLash's fused partitions against it, and time
+/// the local miners on its partitions. Production code does not call it.
+///
 /// One pass over the data builds the pivot -> transactions index: for every
 /// frequent pivot w, the tids whose transaction contains w or a descendant
-/// (the frequent part of G1(T) per transaction, Sec. 3.3). Shared by
-/// MineSequential and the hot-path bench so both partition identically.
+/// (the frequent part of G1(T) per transaction, Sec. 3.3).
 std::vector<std::vector<uint32_t>> BuildPivotIndex(const PreprocessResult& pre,
                                                    ItemId num_frequent);
 

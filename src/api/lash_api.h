@@ -55,7 +55,8 @@ class ApiError : public std::invalid_argument {
 
 /// The mining algorithms the facade can execute (Sec. 3 and Sec. 6.3).
 enum class Algorithm {
-  kSequential,  ///< In-process partition/mine pipeline (no MapReduce).
+  kSequential,  ///< LASH with default settings (MineSequential): only the
+                ///< miner and the thread count are knobs.
   kLash,        ///< LASH: hierarchy-aware item-based partitioning (Sec. 3.4).
   kMgFsm,       ///< MG-FSM baseline: flat hierarchy + BFS miner (Sec. 6.3).
   kGsp,         ///< Extended-sequences GSP baseline of Srikant & Agrawal.
@@ -207,8 +208,8 @@ struct RunResult {
 
   MinerStats miner_stats;          ///< Sequential / LASH / MG-FSM.
   GspStats gsp_stats;              ///< GSP.
-  PartitionShape partition_shape;  ///< LASH / MG-FSM.
-  JobResult job;                   ///< Distributed algorithms (map/shuffle/
+  PartitionShape partition_shape;  ///< Sequential / LASH / MG-FSM.
+  JobResult job;                   ///< Every algorithm but GSP (map/shuffle/
                                    ///< reduce times and Hadoop counters).
 
   double mine_ms = 0;    ///< Mining wall-clock (all algorithms).
@@ -407,9 +408,10 @@ class MiningTask {
   /// Map-side combiner on/off (LASH only; Sec. 4.4). Setting it for any
   /// other algorithm is a validation error.
   MiningTask& WithCombiner(bool use_combiner);
-  /// Worker threads (0 = hardware concurrency): drives kSequential directly
-  /// and overrides JobConfig.num_threads for the distributed algorithms.
-  /// GSP is inherently single-threaded and unaffected.
+  /// Worker threads (0 = hardware concurrency): the job pool of kSequential
+  /// (which otherwise ignores WithJobConfig and runs the default job
+  /// shape), and an override of JobConfig.num_threads for the distributed
+  /// algorithms. GSP is inherently single-threaded and unaffected.
   MiningTask& WithThreads(size_t num_threads);
   /// MapReduce execution shape for the distributed algorithms.
   MiningTask& WithJobConfig(const JobConfig& config);

@@ -170,6 +170,11 @@ std::vector<std::string> MiningTask::Validate() const {
           "returned 0? set it explicitly)");
     }
   }
+  if (static_cast<unsigned>(miner_) >
+      static_cast<unsigned>(MinerKind::kPsmIndex)) {
+    problems.push_back("unknown miner kind " +
+                       std::to_string(static_cast<int>(miner_)));
+  }
   // An explicitly chosen knob that the algorithm cannot honor is a
   // contradiction, not a knob to silently ignore.
   if (miner_set_) {
@@ -232,15 +237,16 @@ RunResult MiningTask::Run(PatternSink& sink) const {
   PatternMap patterns;
   switch (algorithm_) {
     case Algorithm::kSequential:
-      patterns = MineSequential(pre, params_, miner_, &result.miner_stats,
-                                num_threads_);
-      break;
     case Algorithm::kLash: {
+      // Validate keeps the LASH-only knobs of kSequential at their defaults.
       LashOptions options;
       options.miner = miner_;
       options.rewrite = rewrite_;
       options.use_combiner = use_combiner_;
-      AlgoResult algo = RunLash(pre, params_, EffectiveJobConfig(), options);
+      const JobConfig config = algorithm_ == Algorithm::kSequential
+                                   ? SequentialJobConfig(num_threads_)
+                                   : EffectiveJobConfig();
+      AlgoResult algo = RunLash(pre, params_, config, options);
       patterns = std::move(algo.patterns);
       result.job = std::move(algo.job);
       result.miner_stats = algo.miner_stats;

@@ -478,12 +478,13 @@ class MapReduceJob {
         ++group_counts[r];
         i = j;
       }
-      if (reduce_finish_) reduce_finish_(r, pool);
-      // Release this partition's directory and buffers.
+      // Every group is reduced: release this partition's directory and
+      // buffers before reduce_finish allocates (LASH mines there).
       std::vector<RecordRef>().swap(recs);
       for (size_t m = 0; m < num_map; ++m) {
         std::string().swap(spill[m][r]);
       }
+      if (reduce_finish_) reduce_finish_(r, pool);
       timeline[r].reduced_ms = job_clock.ElapsedMs();
       result->reduce_task_ms[r] =
           timeline[r].reduced_ms - timeline[r].start_ms;

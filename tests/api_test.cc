@@ -126,7 +126,9 @@ TEST_F(ApiPaperTest, RunResultCarriesPerAlgorithmStats) {
   RunResult sequential;
   Task(Algorithm::kSequential).Mine(&sequential);
   EXPECT_GT(sequential.miner_stats.candidates, 0u);
-  EXPECT_EQ(sequential.job.counters.map_output_records, 0u);
+  // Sequential runs the LASH driver, so it reports the job and the shape.
+  EXPECT_GT(sequential.partition_shape.partitions, 0u);
+  EXPECT_GT(sequential.job.counters.map_output_records, 0u);
 }
 
 TEST_F(ApiPaperTest, CollectSinkEqualsMaterializedMine) {
@@ -282,6 +284,13 @@ TEST_F(ApiPaperTest, ExplicitMinerOnMinerlessAlgorithmIsRejected) {
   }
   EXPECT_TRUE(
       Task(Algorithm::kLash).WithMiner(MinerKind::kPsm).Validate().empty());
+  // An out-of-range miner kind is named up front, not thrown mid-run.
+  for (Algorithm algorithm : {Algorithm::kSequential, Algorithm::kLash}) {
+    std::vector<std::string> problems =
+        Task(algorithm).WithMiner(static_cast<MinerKind>(99)).Validate();
+    ASSERT_EQ(problems.size(), 1u) << AlgorithmName(algorithm);
+    EXPECT_NE(problems[0].find("unknown miner kind 99"), std::string::npos);
+  }
 
   // The same contract holds for the LASH-only rewrite/combiner knobs.
   EXPECT_EQ(Task(Algorithm::kSequential)

@@ -1,15 +1,18 @@
 // Differential and property tests for the optimized mining hot path:
 // every local miner against the naive enumeration oracle across randomized
-// hierarchical databases and parameter sweeps, parallel vs. serial pivot
-// mining, and the EventRegrouper that replaced PSM's per-insert embedding
-// dedup.
+// hierarchical databases and parameter sweeps, the fused partitions against
+// the per-pivot reference builder, parallel vs. serial mining, and the
+// EventRegrouper that replaced PSM's per-insert embedding dedup.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
 #include <vector>
 
+#include "algo/lash.h"
 #include "algo/sequential.h"
+#include "core/rewrite.h"
 #include "miner/enumerate.h"
 #include "miner/miner.h"
 #include "miner/psm.h"
@@ -118,6 +121,31 @@ TEST(HotPathTest, FullPipelineSweepAgreesWithEnumeration) {
             << "shape=" << shape << " trial=" << trial
             << " kind=" << static_cast<int>(kind);
       }
+
+      // The fused partitions the sequential run aggregates must have the
+      // shape of the per-pivot reference builder's.
+      const ItemId num_frequent =
+          static_cast<ItemId>(pre.NumFrequent(params.sigma));
+      Rewriter rewriter(&pre.hierarchy, params.gamma, params.lambda);
+      auto tids = BuildPivotIndex(pre, num_frequent);
+      PartitionShape reference;
+      for (ItemId pivot = 1; pivot <= num_frequent; ++pivot) {
+        Partition partition =
+            BuildPivotPartition(pre, rewriter, pivot, tids[pivot]);
+        if (partition.size() == 0) continue;
+        reference.Merge(
+            PartitionShape{1, partition.size(), partition.size()});
+      }
+      auto fields = [](const PartitionShape& s) {
+        return std::tuple(s.partitions, s.total_sequences, s.max_partition);
+      };
+      for (size_t threads : {1u, 4u}) {
+        EXPECT_EQ(fields(RunLash(pre, params, SequentialJobConfig(threads))
+                             .partition_shape),
+                  fields(reference))
+            << "shape=" << shape << " trial=" << trial
+            << " threads=" << threads;
+      }
     }
   }
 }
@@ -150,6 +178,12 @@ TEST(HotPathTest, WorkerExceptionsPropagateToCaller) {
   // exception must surface on the calling thread, not kill the process.
   EXPECT_THROW(MineSequential(ex.pre, params, static_cast<MinerKind>(99),
                               nullptr, /*num_threads=*/4),
+               std::invalid_argument);
+  JobConfig config;
+  config.num_threads = 4;
+  LashOptions options;
+  options.miner = static_cast<MinerKind>(99);
+  EXPECT_THROW(RunLash(ex.pre, params, config, options),
                std::invalid_argument);
 }
 
