@@ -16,7 +16,9 @@
 // including the pipelined shuffle's overlap breakdown: per-partition
 // ready/start/grouped/reduced timestamps, the map barrier, and the
 // phase_overlap_ms summary (wall time during which >= 2 phases ran
-// concurrently — 0 by construction on a single-thread pool).
+// concurrently — 0 by construction on a single-thread pool). On a host
+// with >= 2 hardware threads the pipelined path must overlap its phases in
+// at least one repetition (JSON field `phase_overlap_ok`).
 //
 // Usage: bench_shuffle [--smoke] [--reps N] [--out FILE] [--only SUBSTR]
 //   --smoke  small inputs (CI parity gate); implies --reps 1.
@@ -24,14 +26,16 @@
 //   --out    output JSON path (default BENCH_shuffle.json).
 //   --only   run only workloads whose name contains SUBSTR.
 //
-// Exit code is non-zero if any parity check fails; the speedup numbers are
-// reported, not gated, so a loaded machine cannot turn the bench red.
+// Exit code is non-zero if any parity check or the overlap gate fails; the
+// speedup numbers are reported, not gated, so a loaded machine cannot turn
+// the bench red.
 
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "algo/lash.h"
@@ -54,6 +58,7 @@ struct PathResult {
   bool pipelined = false;
   double map_barrier_ms = 0;
   double phase_overlap_ms = 0;
+  bool overlapped = false;  ///< Some repetition overlapped its phases.
   std::vector<PartitionTimeline> partition_timeline;
   PatternMap output;
 };
@@ -70,6 +75,7 @@ struct WorkloadReport {
   bool parity = true;
   bool sequential_match = true;
   bool bytes_match = true;
+  bool phase_overlap_ok = true;
 };
 
 // The per-pivot reference builder mined by a PSM+Index LocalMiner. It shares
@@ -104,6 +110,7 @@ void RunRep(PathResult* out, const PreprocessResult& pre,
   LashOptions options;
   options.use_combiner = combiner;
   AlgoResult result = RunLash(pre, params, config, options);
+  out->overlapped = out->overlapped || result.job.phase_overlap_ms > 0;
   if (rep > 0 &&
       SortedPatterns(result.patterns) != SortedPatterns(out->output)) {
     std::fprintf(stderr, "PARITY FAILURE: unstable output across reps\n");
@@ -196,10 +203,20 @@ WorkloadReport RunWorkload(const std::string& name,
     std::printf("  pipelined: map_barrier=%8.1fms phase_overlap=%8.1fms\n",
                 report.packed.map_barrier_ms, report.packed.phase_overlap_ms);
   }
-  std::printf("  speedup: %.2fx total, %.2fx map; parity %s, bytes %s\n",
-              report.speedup_total, report.speedup_map,
-              report.parity && report.sequential_match ? "ok" : "FAILED",
-              report.bytes_match ? "ok" : "FAILED");
+  // The pipelined shuffle exists to overlap map, grouping and reduce; with
+  // two or more hardware threads, a run that never overlapped means the
+  // pipeline degenerated to the barrier.
+  if (std::thread::hardware_concurrency() >= 2 && !report.packed.overlapped) {
+    std::fprintf(stderr, "OVERLAP FAILURE: no phase overlap on %s\n",
+                 name.c_str());
+    report.phase_overlap_ok = false;
+  }
+  std::printf(
+      "  speedup: %.2fx total, %.2fx map; parity %s, bytes %s, overlap %s\n",
+      report.speedup_total, report.speedup_map,
+      report.parity && report.sequential_match ? "ok" : "FAILED",
+      report.bytes_match ? "ok" : "FAILED",
+      report.phase_overlap_ok ? "ok" : "FAILED");
   std::fflush(stdout);
   return report;
 }
@@ -243,8 +260,10 @@ bool WriteJson(const std::string& path,
     std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
     return false;
   }
-  std::fprintf(f, "{\n  \"bench\": \"shuffle\",\n  \"smoke\": %s,\n",
-               smoke ? "true" : "false");
+  std::fprintf(f,
+               "{\n  \"bench\": \"shuffle\",\n  \"smoke\": %s,\n"
+               "  \"nproc\": %u,\n",
+               smoke ? "true" : "false", std::thread::hardware_concurrency());
   std::fprintf(f, "  \"workloads\": [\n");
   for (size_t i = 0; i < workloads.size(); ++i) {
     const WorkloadReport& w = workloads[i];
@@ -261,11 +280,13 @@ bool WriteJson(const std::string& path,
                  "      \"speedup_map\": %.3f,\n"
                  "      \"parity\": %s,\n"
                  "      \"sequential_match\": %s,\n"
-                 "      \"bytes_match\": %s\n    }%s\n",
+                 "      \"bytes_match\": %s,\n"
+                 "      \"phase_overlap_ok\": %s\n    }%s\n",
                  w.speedup_total, w.speedup_map,
                  w.parity ? "true" : "false",
                  w.sequential_match ? "true" : "false",
                  w.bytes_match ? "true" : "false",
+                 w.phase_overlap_ok ? "true" : "false",
                  i + 1 < workloads.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -369,10 +390,11 @@ int Main(int argc, char** argv) {
 
   bool ok = WriteJson(out, workloads, smoke);
   for (const WorkloadReport& w : workloads) {
-    ok = ok && w.parity && w.sequential_match && w.bytes_match;
+    ok = ok && w.parity && w.sequential_match && w.bytes_match &&
+         w.phase_overlap_ok;
   }
   if (!ok) {
-    std::fprintf(stderr, "bench_shuffle: PARITY CHECKS FAILED\n");
+    std::fprintf(stderr, "bench_shuffle: PARITY OR OVERLAP CHECKS FAILED\n");
     return 1;
   }
   return 0;

@@ -330,6 +330,10 @@ AlgoResult RunLash(const PreprocessResult& pre, const GsmParams& params,
                    const JobConfig& config, const LashOptions& options) {
   params.Validate();
   if (config.shuffle == ShuffleMode::kLegacyHash) {
+    // The legacy driver builds its miners inside pool tasks, where an
+    // exception would terminate the process: build one here first, so an
+    // unknown miner kind throws to the caller.
+    MakeLocalMiner(options.miner, &pre.hierarchy, params);
     // Materialize the owning-vectors corpus the seed driver ran on. This
     // happens before the job starts, so the reported phase times measure
     // the legacy path itself, not the conversion.

@@ -12,8 +12,9 @@ namespace {
 //
 // Transition: position i is reachable at level j iff t[i] →* s[j] and some
 // position i' with i-gamma-1 <= i' <= i-1 is reachable at level j-1.
-bool ComputeReachable(const Sequence& s, SequenceView t, const Hierarchy& h,
-                      uint32_t gamma, std::vector<char>* reach) {
+bool ComputeReachable(SequenceView s, SequenceView t, const Hierarchy& h,
+                      uint32_t gamma, MatchScratch* scratch) {
+  std::vector<char>* reach = &scratch->reach;
   const size_t m = t.size();
   reach->assign(m, 0);
   bool any = false;
@@ -24,7 +25,8 @@ bool ComputeReachable(const Sequence& s, SequenceView t, const Hierarchy& h,
     }
   }
   if (!any) return false;
-  std::vector<char> next(m, 0);
+  std::vector<char>& next = scratch->next;
+  next.resize(m);
   for (size_t j = 1; j < s.size(); ++j) {
     std::fill(next.begin(), next.end(), 0);
     any = false;
@@ -49,19 +51,24 @@ bool ComputeReachable(const Sequence& s, SequenceView t, const Hierarchy& h,
 
 bool Matches(const Sequence& s, SequenceView t, const Hierarchy& h,
              uint32_t gamma) {
+  MatchScratch scratch;
+  return Matches(s, t, h, gamma, &scratch);
+}
+
+bool Matches(SequenceView s, SequenceView t, const Hierarchy& h,
+             uint32_t gamma, MatchScratch* scratch) {
   if (s.empty() || s.size() > t.size()) return false;
-  std::vector<char> reach;
-  return ComputeReachable(s, t, h, gamma, &reach);
+  return ComputeReachable(s, t, h, gamma, scratch);
 }
 
 std::vector<uint32_t> MatchEndPositions(const Sequence& s, SequenceView t,
                                         const Hierarchy& h, uint32_t gamma) {
   std::vector<uint32_t> out;
   if (s.empty() || s.size() > t.size()) return out;
-  std::vector<char> reach;
-  if (!ComputeReachable(s, t, h, gamma, &reach)) return out;
+  MatchScratch scratch;
+  if (!ComputeReachable(s, t, h, gamma, &scratch)) return out;
   for (size_t i = 0; i < t.size(); ++i) {
-    if (reach[i]) out.push_back(static_cast<uint32_t>(i));
+    if (scratch.reach[i]) out.push_back(static_cast<uint32_t>(i));
   }
   return out;
 }

@@ -18,6 +18,18 @@ namespace lash {
 bool Matches(const Sequence& s, SequenceView t, const Hierarchy& h,
              uint32_t gamma);
 
+/// The dynamic program's two per-position buffers, owned by a caller that
+/// tests many (pattern, transaction) pairs so that each test reuses them
+/// instead of allocating its own.
+struct MatchScratch {
+  std::vector<char> reach;
+  std::vector<char> next;
+};
+
+/// Matches with caller-owned scratch; `s` may be a view into an arena.
+bool Matches(SequenceView s, SequenceView t, const Hierarchy& h,
+             uint32_t gamma, MatchScratch* scratch);
+
 /// Returns the sorted 0-based positions `e` of T such that some embedding of
 /// `S` in `T` ends at `e`. Empty iff `S` does not match. Used by the DFS
 /// miner to seed projected databases.

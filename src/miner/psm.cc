@@ -24,13 +24,14 @@ void EventRegrouper::Prepare(size_t num_items) {
   }
 }
 
-size_t EventRegrouper::Regroup(std::vector<ExpansionEvent>* events,
-                               size_t from,
-                               const std::vector<Frequency>& weights,
-                               std::vector<EventGroup>* groups) {
-  const size_t end = events->size();
-  if (from == end) return from;
-  ExpansionEvent* ev = events->data();
+void EventRegrouper::RegroupPacked(const std::vector<ExpansionEvent>& events,
+                                   size_t from,
+                                   const std::vector<Frequency>& weights,
+                                   std::string* packed,
+                                   std::vector<EventGroup>* groups) {
+  const size_t end = events.size();
+  if (from == end) return;
+  const ExpansionEvent* ev = events.data();
 
   // Count events per item; `touched_` records the distinct items so the
   // counter arrays never need a full clear (epoch-based lazy reset).
@@ -60,82 +61,11 @@ size_t EventRegrouper::Regroup(std::vector<ExpansionEvent>* events,
     scratch_[item_cursor_[ev[i].item]++] = ev[i];
   }
 
-  // Copy back bucket by bucket, sorting and deduplicating the embeddings of
+  // Encode bucket by bucket, sorting and deduplicating the embeddings of
   // each (item, tid) run — runs are per-transaction and tiny, so this is
   // the only comparison sorting left in the pipeline. The same pass
   // accumulates each group's weighted document frequency (one weight per
   // tid run), so the caller's support test needs no further scan.
-  size_t write = from;
-  size_t pos = 0;
-  for (ItemId a : touched_) {
-    const size_t bucket_end = pos + item_count_[a];
-    EventGroup group{a, write, write, 0};
-    while (pos < bucket_end) {
-      size_t run_end = pos + 1;
-      const uint32_t tid = scratch_[pos].tid;
-      while (run_end < bucket_end && scratch_[run_end].tid == tid) ++run_end;
-      group.weight += weights[tid];
-      if (run_end - pos == 1) {
-        ev[write++] = scratch_[pos];
-      } else {
-        if (run_end - pos > 2) {
-          std::sort(scratch_.begin() + static_cast<ptrdiff_t>(pos),
-                    scratch_.begin() + static_cast<ptrdiff_t>(run_end),
-                    [](const ExpansionEvent& x, const ExpansionEvent& y) {
-                      return x.emb < y.emb;
-                    });
-        } else if (scratch_[pos + 1].emb < scratch_[pos].emb) {
-          std::swap(scratch_[pos], scratch_[pos + 1]);
-        }
-        for (size_t k = pos; k < run_end; ++k) {
-          if (k == pos || scratch_[k].emb != scratch_[k - 1].emb) {
-            ev[write++] = scratch_[k];
-          }
-        }
-      }
-      pos = run_end;
-    }
-    group.end = write;
-    groups->push_back(group);
-  }
-  events->resize(write);
-  return write;
-}
-
-void EventRegrouper::RegroupPacked(const std::vector<ExpansionEvent>& events,
-                                   size_t from,
-                                   const std::vector<Frequency>& weights,
-                                   std::string* packed,
-                                   std::vector<EventGroup>* groups) {
-  const size_t end = events.size();
-  if (from == end) return;
-  const ExpansionEvent* ev = events.data();
-
-  // Identical counting scatter to Regroup (see there for the invariants);
-  // only the output side differs: survivors are delta-encoded onto the
-  // packed arena instead of compacted in place.
-  ++epoch_;
-  touched_.clear();
-  for (size_t i = from; i < end; ++i) {
-    ItemId a = ev[i].item;
-    if (item_epoch_[a] != epoch_) {
-      item_epoch_[a] = epoch_;
-      item_count_[a] = 0;
-      touched_.push_back(a);
-    }
-    ++item_count_[a];
-  }
-  std::sort(touched_.begin(), touched_.end());
-  uint32_t offset = 0;
-  for (ItemId a : touched_) {
-    item_cursor_[a] = offset;
-    offset += item_count_[a];
-  }
-  if (scratch_.size() < end - from) scratch_.resize(end - from);
-  for (size_t i = from; i < end; ++i) {
-    scratch_[item_cursor_[ev[i].item]++] = ev[i];
-  }
-
   size_t pos = 0;
   for (ItemId a : touched_) {
     const size_t bucket_end = pos + item_count_[a];

@@ -40,10 +40,9 @@ struct ExpansionEvent {
 void SortUniqueEvents(std::vector<ExpansionEvent>* events, size_t from);
 
 /// One expansion database produced by the regrouper: the events of one
-/// candidate item as a range of the shared arena — an event-index range
-/// from Regroup, a byte range of the packed postings arena from
-/// RegroupPacked — plus its weighted document frequency (accumulated
-/// during the same pass, so the support test costs no extra scan).
+/// candidate item as a byte range of the packed postings arena, plus its
+/// weighted document frequency (accumulated during the same pass, so the
+/// support test costs no extra scan).
 struct EventGroup {
   ItemId item;
   size_t begin;
@@ -119,27 +118,19 @@ struct PostingCursor {
 /// no heap allocation once warm.
 class EventRegrouper {
  public:
-  /// Must be called before Regroup with an exclusive upper bound on the
-  /// item ids that will appear (PSM: pivot + 1).
+  /// Must be called before RegroupPacked with an exclusive upper bound on
+  /// the item ids that will appear (PSM: pivot + 1).
   void Prepare(size_t num_items);
 
-  /// Regroups events[from..]; returns the new end-of-buffer index (the
-  /// vector is truncated to it) and appends one EventGroup per distinct
-  /// item, in ascending item order, to `groups`. `weights[tid]` is the
-  /// aggregation weight a transaction contributes to a group's support.
-  /// Requires tids nondecreasing per item in generation order.
-  /// Reference implementation of the grouping contract; production PSM
-  /// uses RegroupPacked.
-  size_t Regroup(std::vector<ExpansionEvent>* events, size_t from,
-                 const std::vector<Frequency>& weights,
-                 std::vector<EventGroup>* groups);
-
-  /// Same grouping/dedup/weighting contract as Regroup, but the surviving
-  /// events are varint-delta-encoded onto the packed postings arena
-  /// (`packed`, via PostingEncoder) instead of compacted back into the
-  /// event buffer: each appended EventGroup's [begin, end) is a byte range
-  /// of `packed`. `events` is the generation buffer of one expansion step;
-  /// it is only read (the caller clears it for the next step).
+  /// Groups events[from..] and appends one EventGroup per distinct item,
+  /// in ascending item order, to `groups`. The surviving events of a group
+  /// are varint-delta-encoded onto the packed postings arena (`packed`, via
+  /// PostingEncoder): each EventGroup's [begin, end) is a byte range of
+  /// `packed`. `weights[tid]` is the aggregation weight a transaction
+  /// contributes to a group's support. Requires tids nondecreasing per item
+  /// in generation order. `events` is the generation buffer of one
+  /// expansion step; it is only read (the caller clears it for the next
+  /// step).
   void RegroupPacked(const std::vector<ExpansionEvent>& events, size_t from,
                      const std::vector<Frequency>& weights,
                      std::string* packed, std::vector<EventGroup>* groups);

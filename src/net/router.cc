@@ -22,6 +22,7 @@ RouterBackend::RouterBackend(std::vector<WorkerAddress> workers,
   for (WorkerAddress& address : workers) {
     auto slot = std::make_unique<WorkerSlot>();
     slot->address = std::move(address);
+    all_workers_.push_back(workers_.size());
     workers_.push_back(std::move(slot));
   }
   const size_t threads = options_.scatter_threads > 0
@@ -36,6 +37,7 @@ RouterBackend::RouterBackend(std::vector<WorkerAddress> workers,
     count_candidates_ = options_.metrics->GetCounter("router.count.candidates");
     count_patterns_shipped_ =
         options_.metrics->GetCounter("router.count.patterns_shipped");
+    count_pruned_ = options_.metrics->GetCounter("router.count.pruned");
     count_phase_ms_ = options_.metrics->GetHistogram("router.count.phase_ms");
   }
 }
@@ -106,13 +108,15 @@ Frequency RouterBackend::ResolveShardSigma(const serve::TaskSpec& spec) const {
 void RouterBackend::FanOut(const char* span_name,
                           const obs::TraceContext& parent,
                           const obs::TraceContext& incoming,
+                          const std::vector<size_t>& targets,
                           const std::function<void(Leg&)>& body) {
   std::vector<std::optional<ServeError>> failures(workers_.size());
   // ParallelFor participates from the calling thread, so a fan-out works
   // even when every pool worker is busy with other router requests.
   // Exceptions must not escape the body (pool contract: they would kill
   // the process).
-  pool_->ParallelFor(workers_.size(), [&](size_t w) {
+  pool_->ParallelFor(targets.size(), [&](size_t i) {
+    const size_t w = targets[i];
     WorkerSlot& slot = *workers_[w];
     std::lock_guard<std::mutex> lock(slot.mu);
     try {
@@ -170,20 +174,25 @@ MineResponse RouterBackend::Scatter(const serve::TaskSpec& spec) {
   scatter_span.Tag("workers", static_cast<double>(workers_.size()));
   scatter_span.Tag("shard_sigma", static_cast<double>(sigma_prime));
 
+  // The count phase's shape: union candidates, candidate-shard counts
+  // shipped, and candidates dropped by the upper bound. They stay 0 until
+  // the count phase has run.
+  size_t candidates = 0, counted = 0, pruned = 0;
+  double count_ms = 0;
+
   // One stderr line when a slow scatter resolves, mirroring the service's
-  // slow-query log; `candidates`/`count_ms` stay 0/"-" until the count
-  // phase has run.
-  const auto maybe_log_slow = [&](const char* outcome, size_t candidates,
-                                  double count_ms) {
+  // slow-query log.
+  const auto maybe_log_slow = [&](const char* outcome) {
     if (options_.slow_query_ms <= 0) return;
     const double latency_ms = total_watch.ElapsedMs();
     if (latency_ms < options_.slow_query_ms) return;
     std::fprintf(stderr,
                  "[lash.slow] outcome=%s latency_ms=%.3f threshold_ms=%.3f "
-                 "shard_sigma=%llu candidates=%zu count_ms=%.3f trace=%s\n",
+                 "shard_sigma=%llu candidates=%zu counted=%zu pruned=%zu "
+                 "count_ms=%.3f trace=%s\n",
                  outcome, latency_ms, options_.slow_query_ms,
                  static_cast<unsigned long long>(sigma_prime), candidates,
-                 count_ms,
+                 counted, pruned, count_ms,
                  spec.trace.active() ? spec.trace.trace_id.Hex().c_str()
                                      : "-");
   };
@@ -197,29 +206,29 @@ MineResponse RouterBackend::Scatter(const serve::TaskSpec& spec) {
   shard_spec.top_k = 0;
   shard_spec.shard_sigma = 0;
 
-  NamedPatternList candidates;
   std::optional<Stopwatch> count_watch;  // Started by the count phase.
-  double count_ms = 0;
   const auto end_count_phase = [&] {
     count_ms = count_watch->ElapsedMs();
     if (count_phase_ms_ != nullptr) count_phase_ms_->Record(count_ms);
   };
-  // One leg per worker under the scatter span. A failed leg fails the whole
-  // query; the scatter span and the slow-query log record that first.
+  // One leg per target worker under the scatter span. A failed leg fails
+  // the whole query; the scatter span and the slow-query log record that
+  // first.
   const auto fan_out = [&](const char* span_name,
+                           const std::vector<size_t>& targets,
                            const std::function<void(Leg&)>& body) {
     try {
-      FanOut(span_name, scatter_span.context(), spec.trace, body);
+      FanOut(span_name, scatter_span.context(), spec.trace, targets, body);
     } catch (const ServeError&) {
       if (count_watch) end_count_phase();
       scatter_span.Tag("outcome", "worker_error");
-      maybe_log_slow("worker_error", candidates.size(), count_ms);
+      maybe_log_slow("worker_error");
       throw;
     }
   };
 
   std::vector<MineReply> replies(workers_.size());
-  fan_out("router.leg", [&](Leg& leg) {
+  fan_out("router.leg", all_workers_, [&](Leg& leg) {
     serve::TaskSpec leg_spec = shard_spec;
     leg_spec.trace = leg.trace;  // The leg span parents serve.request.
     replies[leg.worker] = leg.client.Mine(leg_spec);
@@ -227,76 +236,118 @@ MineResponse RouterBackend::Scatter(const serve::TaskSpec& spec) {
 
   // Union of the phase-1 answers keyed on the canonical item-name bytes
   // (the same encoded-key-bytes identity the shuffle's ByteCombiner merges
-  // on). At σ′=1 the summed frequencies are already exact; above it they
-  // are partial sums (a shard below σ′ did not report) and the count phase
-  // below replaces them.
+  // on), each with its partial sum and the workers that reported it. At
+  // σ′=1 the summed frequencies are already exact; above it a worker's
+  // reported support is exact and a silent worker holds fewer than σ′.
   struct Merged {
     std::vector<std::string> items;
     Frequency frequency = 0;
+    std::vector<uint32_t> reporters;  ///< Ascending worker indices.
   };
   std::unordered_map<std::string, Merged> merged;
-  for (MineReply& reply : replies) {
-    for (NamedPattern& pattern : reply.patterns) {
+  for (uint32_t w = 0; w < replies.size(); ++w) {
+    for (NamedPattern& pattern : replies[w].patterns) {
       Merged& slot = merged[NamedPatternKey(pattern)];
       if (slot.items.empty()) slot.items = std::move(pattern.items);
       slot.frequency += pattern.frequency;
+      if (slot.reporters.empty() || slot.reporters.back() != w) {
+        slot.reporters.push_back(w);
+      }
     }
   }
 
-  // Phase 2: recount the union candidates exactly on every shard and sum.
-  // Skipped when phase 1 is already exact — σ′=1 makes every pattern
-  // visible everywhere, and a single worker's mined supports are the union
-  // supports (there is no shard it could be missing from).
+  // Phase 2: count each candidate only on the workers that did not report
+  // it, and only while it can still reach σ. Skipped when phase 1 is
+  // already exact — σ′=1 makes every pattern visible everywhere, and a
+  // single worker's mined supports are the union supports.
   const bool count_phase =
       sigma_prime > 1 && workers_.size() > 1 && !merged.empty();
-  std::vector<Frequency> totals;
+  std::vector<Merged*> kept;  // The candidates still in play, sorted.
   if (count_phase) {
-    candidates.reserve(merged.size());
-    for (auto& [key, entry] : merged) {
-      candidates.push_back(NamedPattern{entry.items, 0});
-    }
-    // All frequencies are 0, so the canonical order is lexicographic —
-    // every worker sees the identical, deterministic candidate list.
-    SortNamedPatterns(&candidates);
-
-    if (count_requests_ != nullptr) count_requests_->Add(workers_.size());
-    if (count_candidates_ != nullptr) count_candidates_->Add(candidates.size());
-    if (count_patterns_shipped_ != nullptr) {
-      count_patterns_shipped_->Add(candidates.size() * workers_.size());
-    }
-
-    CountRequest count_request;
-    count_request.shard = 0;
-    count_request.deadline_ms = spec.deadline_ms;
-    // The same canonicalization as the cache key: MG-FSM always mines the
-    // flat rank space, so its supports must be counted there too.
-    count_request.flat = spec.flat || spec.algorithm == Algorithm::kMgFsm;
-    count_request.gamma = spec.params.gamma;
-    count_request.lambda = spec.params.lambda;
-    count_request.candidates = candidates;
-
-    count_watch.emplace();
-    std::vector<CountReply> count_replies(workers_.size());
-    fan_out("router.count", [&](Leg& leg) {
-      leg.span.Tag("candidates", static_cast<double>(candidates.size()));
-      CountRequest leg_request = count_request;
-      leg_request.trace = leg.trace;
-      CountReply reply = leg.client.Count(leg_request);
-      if (reply.supports.size() != candidates.size()) {
-        throw ServeError(ServeErrorCode::kExecutionFailed,
-                         "count reply carries " +
-                             std::to_string(reply.supports.size()) +
-                             " supports for " +
-                             std::to_string(candidates.size()) +
-                             " candidates");
-      }
-      count_replies[leg.worker] = std::move(reply);
+    std::vector<Merged*> order;
+    order.reserve(merged.size());
+    for (auto& [key, entry] : merged) order.push_back(&entry);
+    // Lexicographic, so every worker's list is deterministic.
+    std::sort(order.begin(), order.end(), [](const Merged* a, const Merged* b) {
+      return a->items < b->items;
     });
-    end_count_phase();
-    totals.assign(candidates.size(), 0);
-    for (const CountReply& reply : count_replies) {
-      for (size_t i = 0; i < totals.size(); ++i) {
-        totals[i] += reply.supports[i];
+    candidates = order.size();
+
+    // Upper-bound pruning: a candidate reported by the set R with partial
+    // sum s has union support at most s + (k − |R|)(σ′ − 1). It is sound
+    // only when every phase-1 answer is complete; an emit cap that fired
+    // may have left a worker silent about a pattern it holds σ′ times.
+    const bool complete = std::none_of(
+        replies.begin(), replies.end(),
+        [](const MineReply& reply) { return reply.run.aborted; });
+    const Frequency k = workers_.size();
+    // Worker w's request and, index-aligned with its candidates, the
+    // entries its supports add to.
+    std::vector<CountRequest> requests(workers_.size());
+    std::vector<std::vector<Merged*>> slots(workers_.size());
+    for (Merged* entry : order) {
+      const Frequency silent = k - entry->reporters.size();
+      if (complete &&
+          entry->frequency + silent * (sigma_prime - 1) < spec.params.sigma) {
+        ++pruned;
+        continue;
+      }
+      kept.push_back(entry);
+      size_t next = 0;  // Walks the ascending reporter list.
+      for (uint32_t w = 0; w < workers_.size(); ++w) {
+        if (next < entry->reporters.size() && entry->reporters[next] == w) {
+          ++next;
+          continue;
+        }
+        requests[w].candidates.push_back(NamedPattern{entry->items, 0});
+        slots[w].push_back(entry);
+      }
+    }
+    std::vector<size_t> targets;
+    for (size_t w = 0; w < requests.size(); ++w) {
+      CountRequest& request = requests[w];
+      if (request.candidates.empty()) continue;
+      targets.push_back(w);
+      counted += request.candidates.size();
+      request.shard = 0;
+      request.deadline_ms = spec.deadline_ms;
+      // The same canonicalization as the cache key: MG-FSM always mines
+      // the flat rank space, so its supports must be counted there too.
+      request.flat = spec.flat || spec.algorithm == Algorithm::kMgFsm;
+      request.gamma = spec.params.gamma;
+      request.lambda = spec.params.lambda;
+    }
+
+    if (count_requests_ != nullptr) count_requests_->Add(targets.size());
+    if (count_candidates_ != nullptr) count_candidates_->Add(candidates);
+    if (count_patterns_shipped_ != nullptr) count_patterns_shipped_->Add(counted);
+    if (count_pruned_ != nullptr) count_pruned_->Add(pruned);
+
+    if (!targets.empty()) {
+      count_watch.emplace();
+      std::vector<CountReply> count_replies(workers_.size());
+      fan_out("router.count", targets, [&](Leg& leg) {
+        CountRequest& request = requests[leg.worker];
+        leg.span.Tag("candidates",
+                     static_cast<double>(request.candidates.size()));
+        request.trace = leg.trace;
+        CountReply reply = leg.client.Count(request);
+        if (reply.supports.size() != request.candidates.size()) {
+          throw ServeError(ServeErrorCode::kExecutionFailed,
+                           "count reply carries " +
+                               std::to_string(reply.supports.size()) +
+                               " supports for " +
+                               std::to_string(request.candidates.size()) +
+                               " candidates");
+        }
+        count_replies[leg.worker] = std::move(reply);
+      });
+      end_count_phase();
+      // The exact totals: each partial sum plus the silent workers' counts.
+      for (const size_t w : targets) {
+        for (size_t i = 0; i < slots[w].size(); ++i) {
+          slots[w][i]->frequency += count_replies[w].supports[i];
+        }
       }
     }
   }
@@ -307,20 +358,15 @@ MineResponse RouterBackend::Scatter(const serve::TaskSpec& spec) {
   // Re-apply the caller's σ to the exact union supports, re-sort into the
   // canonical wire order, and re-cut top-k.
   MineResponse response;
+  const auto emit = [&](Merged& entry) {
+    if (entry.frequency < spec.params.sigma) return;
+    response.patterns.push_back(
+        NamedPattern{std::move(entry.items), entry.frequency});
+  };
   if (count_phase) {
-    response.patterns.reserve(candidates.size());
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if (totals[i] < spec.params.sigma) continue;
-      response.patterns.push_back(
-          NamedPattern{std::move(candidates[i].items), totals[i]});
-    }
+    for (Merged* entry : kept) emit(*entry);
   } else {
-    response.patterns.reserve(merged.size());
-    for (auto& [key, entry] : merged) {
-      if (entry.frequency < spec.params.sigma) continue;
-      response.patterns.push_back(
-          NamedPattern{std::move(entry.items), entry.frequency});
-    }
+    for (auto& [key, entry] : merged) emit(entry);
   }
   SortNamedPatterns(&response.patterns);
   if (spec.top_k > 0 && response.patterns.size() > spec.top_k) {
@@ -369,11 +415,13 @@ MineResponse RouterBackend::Scatter(const serve::TaskSpec& spec) {
   merge_span.End();
   scatter_span.Tag("outcome", "ok");
   if (count_phase) {
-    scatter_span.Tag("candidates", static_cast<double>(candidates.size()));
+    scatter_span.Tag("candidates", static_cast<double>(candidates));
+    scatter_span.Tag("counted", static_cast<double>(counted));
+    scatter_span.Tag("pruned", static_cast<double>(pruned));
     scatter_span.Tag("count_ms", count_ms);
   }
   scatter_span.End();
-  maybe_log_slow("ok", candidates.size(), count_ms);
+  maybe_log_slow("ok");
   return response;
 }
 
@@ -381,7 +429,7 @@ serve::ServiceStats RouterBackend::AggregateStats() {
   std::vector<serve::ServiceStats> per_worker(workers_.size());
   // No request context: the legs' spans are inert.
   FanOut("router.stats", obs::TraceContext{}, obs::TraceContext{},
-         [&](Leg& leg) { per_worker[leg.worker] = leg.client.Stats(); });
+         all_workers_, [&](Leg& leg) { per_worker[leg.worker] = leg.client.Stats(); });
   serve::ServiceStats total;
   for (const serve::ServiceStats& stats : per_worker) {
     total.submitted += stats.submitted;

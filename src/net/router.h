@@ -22,9 +22,10 @@ struct RouterOptions {
   /// σ′ = max(1, ⌈σ/k⌉) for k workers: any pattern whose union support
   /// reaches σ must reach σ′ on at least one shard, so the union of
   /// per-shard results is a *complete* candidate set while each shard
-  /// ships only its σ′-frequent patterns; phase 2 sends the named union
-  /// candidates back to every worker (kCountRequest), sums the exact
-  /// per-shard supports, and re-cuts at σ. A nonzero value overrides the
+  /// ships only its σ′-frequent patterns; phase 2 counts each union
+  /// candidate (kCountRequest) only on the workers that did not report it
+  /// and only while it can still reach σ, adds those counts to the reported
+  /// supports, and re-cuts at σ. A nonzero value overrides the
   /// bound (clamped to [1, σ]): 1 is the one-phase baseline — every pattern
   /// visible everywhere, so the count phase is skipped — and a value above
   /// the bound trades completeness for shard-side work. A per-request
@@ -40,7 +41,8 @@ struct RouterOptions {
   obs::MetricsRegistry* metrics = nullptr;
   /// Slow-query log threshold in milliseconds; 0 disables. A scatter whose
   /// total latency reaches the threshold logs one stderr line (outcome,
-  /// latency, phase shape, candidate/count stats, trace id when present).
+  /// latency, phase shape, candidates/counted/pruned and count time, trace
+  /// id when present).
   double slow_query_ms = 0;
 };
 
@@ -58,10 +60,17 @@ struct RouterOptions {
 /// parameterized by σ′ (RouterOptions::shard_sigma):
 ///
 ///   * At the default pigeonhole bound σ′ = max(1, ⌈σ/k⌉) — if supp(S) ≥ σ
-///     over k shards, some shard holds ≥ ⌈σ/k⌉ of it — recount the union
-///     candidates exactly on every shard (kCountRequest) and sum. Each
-///     shard ships only σ′-frequent patterns instead of its entire σ′=1
-///     pattern universe.
+///     over k shards, some shard holds ≥ ⌈σ/k⌉ of it — the union of the
+///     phase-1 answers is a complete candidate set. A shard that reported a
+///     candidate gave its exact local support; a silent one holds fewer
+///     than σ′. So a candidate with partial sum s from the reporting set R
+///     is dropped uncounted when s + (k − |R|)(σ′ − 1) < σ (upper-bound
+///     pruning), and is otherwise counted exactly (kCountRequest) on the
+///     shards outside R only (missing-only counting). Each shard gets its
+///     own sorted candidate list; a shard with an empty list gets no count
+///     leg. When a phase-1 answer is incomplete (`run.aborted`: a
+///     naive/seminaive emit cap fired) the bound does not hold, so nothing
+///     is pruned and every missing count is taken.
 ///   * At σ′=1 every pattern is visible, so the summed phase-1 supports
 ///     are exact and the count phase is skipped. Exact but pays the σ′=1
 ///     tax in shard mining and pattern shipping (the measured baseline).
@@ -83,8 +92,9 @@ class RouterBackend : public Backend {
   /// active trace context opens a router.scatter span under it, one
   /// router.leg span per worker (whose context travels to that worker as
   /// the parent in the leg's kMineRequest), one router.count span per count
-  /// leg when the two-phase count runs, and a router.merge span over the
-  /// reduction — the cross-process halves of one merged trace tree.
+  /// leg the two-phase count sends (tagged with that leg's `candidates`),
+  /// and a router.merge span over the reduction — the cross-process halves
+  /// of one merged trace tree.
   MineResponse Scatter(const serve::TaskSpec& spec);
 
   /// Sums the workers' counters (latency percentiles take the max — a
@@ -109,18 +119,21 @@ class RouterBackend : public Backend {
     obs::TraceContext trace;
   };
 
-  /// Runs `body` once per worker, in parallel. Each leg holds its worker's
-  /// slot, connects lazily, and opens a `span_name` span under `parent`
-  /// (tagged with the worker's address). After every leg has finished,
+  /// Runs `body` once per worker index in `targets`, in parallel. Each leg
+  /// holds its worker's slot, connects lazily, and opens a `span_name` span
+  /// under `parent` (tagged with the worker's address); a worker outside
+  /// `targets` gets neither a leg nor a span. After every leg has finished,
   /// the first failed leg is rethrown as ServeError "worker host:port: …"
   /// with the worker's code (kExecutionFailed for anything untyped), and
   /// router.scatter.worker_errors is counted: one missing shard makes
   /// every merged sum wrong, so no partial answer is ever returned.
   void FanOut(const char* span_name, const obs::TraceContext& parent,
               const obs::TraceContext& incoming,
+              const std::vector<size_t>& targets,
               const std::function<void(Leg&)>& body);
 
   std::vector<std::unique_ptr<WorkerSlot>> workers_;
+  std::vector<size_t> all_workers_;  ///< 0..k−1: the targets of a full fan-out.
   RouterOptions options_;
 
   /// Resolves the effective phase-1 σ′ for `spec` (request override, then
@@ -133,6 +146,7 @@ class RouterBackend : public Backend {
   obs::Counter* count_requests_ = nullptr;
   obs::Counter* count_candidates_ = nullptr;
   obs::Counter* count_patterns_shipped_ = nullptr;
+  obs::Counter* count_pruned_ = nullptr;
   obs::LatencyHistogram* count_phase_ms_ = nullptr;
 
   mutable std::mutex mu_;

@@ -12,6 +12,15 @@
 
 namespace lash::net {
 
+namespace {
+
+/// The fewest transactions worth a count block of their own: a block pays
+/// a marker array over the shard's items and a support array over the
+/// request's candidates.
+constexpr size_t kMinCountBlock = 256;
+
+}  // namespace
+
 ServiceBackend::ServiceBackend(std::vector<const Dataset*> shards,
                                serve::ServiceOptions options)
     : shards_(std::move(shards)) {
@@ -80,18 +89,26 @@ void ServiceBackend::RunCount(const CountRequest& request,
     obs::Span span(&obs::Tracer::Global(), request.trace, "serve.count");
     span.Tag("candidates", static_cast<double>(request.candidates.size()));
     span.Tag("shard", static_cast<double>(request.shard));
-    const Dataset& dataset = *shards_[request.shard];
-    const serve::CountQuery query{request.gamma, request.lambda,
-                                  request.flat};
-    std::vector<Frequency> supports(request.candidates.size(), 0);
+    const serve::SupportCounter counter(
+        *shards_[request.shard], request.candidates,
+        serve::CountQuery{request.gamma, request.lambda, request.flat});
+    // One pass over the shard, split into transaction blocks on the count
+    // pool. Each block adds into its own support array (no shared writes);
+    // the arrays are summed below. The deadline is checked between blocks.
+    const size_t transactions = counter.num_transactions();
+    const size_t blocks = std::clamp<size_t>(
+        transactions / kMinCountBlock, 1, 2 * count_pool_->num_threads());
+    std::vector<std::vector<Frequency>> block_supports(blocks);
     std::atomic<bool> expired{false};
-    count_pool_->ParallelFor(request.candidates.size(), [&](size_t c) {
+    count_pool_->ParallelFor(blocks, [&](size_t b) {
       if (request.deadline_ms > 0 && watch.ElapsedMs() >= request.deadline_ms) {
         expired.store(true, std::memory_order_relaxed);
       }
       if (expired.load(std::memory_order_relaxed)) return;
-      const NamedPatternList one{request.candidates[c]};
-      supports[c] = serve::CountSupports(dataset, one, query)[0];
+      block_supports[b].assign(counter.num_candidates(), 0);
+      counter.CountRange(transactions * b / blocks,
+                         transactions * (b + 1) / blocks,
+                         block_supports[b].data());
     });
     if (expired.load(std::memory_order_relaxed)) {
       span.Tag("outcome", "deadline_exceeded");
@@ -101,7 +118,12 @@ void ServiceBackend::RunCount(const CountRequest& request,
       return;
     }
     CountResponse response;
-    response.supports = std::move(supports);
+    response.supports = std::move(block_supports[0]);
+    for (size_t b = 1; b < blocks; ++b) {
+      for (size_t c = 0; c < response.supports.size(); ++c) {
+        response.supports[c] += block_supports[b][c];
+      }
+    }
     response.server_ms = watch.ElapsedMs();
     // The span covers the counting, not the send — and ending it before the
     // reply means a tracer collecting in-process has the span once the

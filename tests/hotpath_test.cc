@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -185,6 +186,9 @@ TEST(HotPathTest, WorkerExceptionsPropagateToCaller) {
   options.miner = static_cast<MinerKind>(99);
   EXPECT_THROW(RunLash(ex.pre, params, config, options),
                std::invalid_argument);
+  config.shuffle = ShuffleMode::kLegacyHash;
+  EXPECT_THROW(RunLash(ex.pre, params, config, options),
+               std::invalid_argument);
 }
 
 TEST(HotPathTest, ParallelDefaultThreadsMatchesSerialOnPaperExample) {
@@ -203,7 +207,32 @@ TEST(HotPathTest, ParallelDefaultThreadsMatchesSerialOnPaperExample) {
 using psm_internal::EventGroup;
 using psm_internal::EventRegrouper;
 using psm_internal::ExpansionEvent;
+using psm_internal::PostingCursor;
 using psm_internal::SortUniqueEvents;
+
+// The compacting form of the grouping contract: regroups events[from..]
+// with RegroupPacked, decodes every group's postings back into the event
+// buffer (truncated to `from` first), and appends each group with an
+// event-index range. Returns the new end of the buffer.
+size_t Regroup(EventRegrouper* regrouper, std::vector<ExpansionEvent>* events,
+               size_t from, const std::vector<Frequency>& weights,
+               std::vector<EventGroup>* groups) {
+  std::string packed;
+  std::vector<EventGroup> packed_groups;
+  regrouper->RegroupPacked(*events, from, weights, &packed, &packed_groups);
+  events->resize(from);
+  for (const EventGroup& group : packed_groups) {
+    const size_t begin = events->size();
+    PostingCursor cursor(group.begin);
+    uint32_t tid = 0;
+    Embedding emb{0, 0};
+    while (cursor.Next(packed, group.end, &tid, &emb)) {
+      events->push_back({group.item, tid, emb});
+    }
+    groups->push_back({group.item, begin, events->size(), group.weight});
+  }
+  return events->size();
+}
 
 // Generates an event stream the way PSM does: postings scanned in
 // nondecreasing tid order, each emitting events for random items with
@@ -236,7 +265,7 @@ TEST(EventRegrouperTest, MatchesSortUniqueReference) {
     for (size_t i = 0; i < 20; ++i) weights.push_back(1 + rng.Uniform(5));
 
     // A nonempty prefix plays the part of the parent levels of the arena:
-    // Regroup must leave it untouched and group only the tail.
+    // regrouping must leave it untouched and group only the tail.
     std::vector<ExpansionEvent> prefix =
         RandomEventStream(3, num_items, &rng);
     size_t from = prefix.size();
@@ -251,7 +280,7 @@ TEST(EventRegrouperTest, MatchesSortUniqueReference) {
     actual.insert(actual.end(), tail.begin(), tail.end());
     std::vector<EventGroup> groups;
     regrouper.Prepare(num_items + 1);
-    size_t new_end = regrouper.Regroup(&actual, from, weights, &groups);
+    size_t new_end = Regroup(&regrouper, &actual, from, weights, &groups);
 
     ASSERT_EQ(actual, expected) << "trial " << trial;
     ASSERT_EQ(new_end, expected.size());
@@ -285,7 +314,7 @@ TEST(EventRegrouperTest, EmptyTailProducesNoGroups) {
   std::vector<ExpansionEvent> events = {{1, 0, Embedding{0, 0}}};
   std::vector<EventGroup> groups;
   std::vector<Frequency> weights(4, 1);
-  EXPECT_EQ(regrouper.Regroup(&events, 1, weights, &groups), 1u);
+  EXPECT_EQ(Regroup(&regrouper, &events, 1, weights, &groups), 1u);
   EXPECT_TRUE(groups.empty());
   EXPECT_EQ(events.size(), 1u);
 }
@@ -304,7 +333,7 @@ TEST(EventRegrouperTest, DeduplicatesAdjacentAndDistantDuplicates) {
       {2, 1, Embedding{0, 3}},  // Same embedding, different tid: kept.
   };
   std::vector<EventGroup> groups;
-  size_t end = regrouper.Regroup(&events, 0, weights, &groups);
+  size_t end = Regroup(&regrouper, &events, 0, weights, &groups);
   ASSERT_EQ(end, 3u);
   EXPECT_EQ(events[0].emb, (Embedding{0, 2}));
   EXPECT_EQ(events[1].emb, (Embedding{0, 3}));

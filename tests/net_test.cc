@@ -535,6 +535,45 @@ class NetLoopbackTest : public ::testing::Test {
   Dataset dataset_;
 };
 
+/// One loopback worker per shard corpus, all over one vocabulary.
+struct ShardCluster {
+  ShardCluster(const std::vector<Database>& shard_dbs, const Vocabulary& vocab) {
+    for (const Database& db : shard_dbs) {
+      datasets.emplace_back(new Dataset(Dataset::FromMemory(db, vocab)));
+      backends.push_back(std::make_unique<ServiceBackend>(
+          std::vector<const Dataset*>{datasets.back().get()},
+          serve::ServiceOptions{}));
+      servers.push_back(std::make_unique<TestServer>(backends.back().get()));
+      addresses.push_back({"127.0.0.1", servers.back()->port()});
+    }
+  }
+
+  /// The round-robin transaction split of `db` into k shards.
+  static std::vector<Database> RoundRobin(const Database& db, size_t k) {
+    std::vector<Database> shards(k);
+    for (size_t i = 0; i < db.size(); ++i) shards[i % k].push_back(db[i]);
+    return shards;
+  }
+
+  std::vector<std::unique_ptr<Dataset>> datasets;
+  std::vector<std::unique_ptr<ServiceBackend>> backends;
+  std::vector<std::unique_ptr<TestServer>> servers;
+  std::vector<WorkerAddress> addresses;
+};
+
+/// A counter's value in `registry` (0 when never registered).
+uint64_t CounterValue(obs::MetricsRegistry& registry, const char* name) {
+  return registry.GetCounter(name)->Value();
+}
+
+/// The value of `key` among a span's tags ("" when absent).
+std::string TagValue(const obs::SpanRecord& span, const std::string& key) {
+  for (const auto& [k, v] : span.tags) {
+    if (k == key) return v;
+  }
+  return "";
+}
+
 TEST_F(NetLoopbackTest, AllSixAlgorithmsAreByteIdenticalOverTheWire) {
   ServiceBackend backend({&dataset_}, serve::ServiceOptions{});
   TestServer server(&backend);
@@ -620,38 +659,53 @@ TEST_F(NetLoopbackTest, RouterMergesTwoShardsExactly) {
 }
 
 TEST_F(NetLoopbackTest, TwoPhaseCountPhaseMatchesLegacyAndInProcess) {
-  // σ=3 over the 2-shard split pigeonholes to σ′=2 > 1, so the count phase
-  // actually runs (unlike the σ=2 paper spec, where σ′=1 and phase 1 is
-  // already exact). The two-phase answer must be byte-identical to both the
-  // legacy σ′=1 router and the in-process union mine, for every algorithm.
-  Database even_db, odd_db;
-  for (size_t i = 0; i < ex_.raw_db.size(); ++i) {
-    (i % 2 == 0 ? even_db : odd_db).push_back(ex_.raw_db[i]);
-  }
-  Dataset even(Dataset::FromMemory(even_db, ex_.vocab));
-  Dataset odd(Dataset::FromMemory(odd_db, ex_.vocab));
-  ServiceBackend backend_even({&even}, serve::ServiceOptions{});
-  ServiceBackend backend_odd({&odd}, serve::ServiceOptions{});
-  TestServer worker_even(&backend_even);
-  TestServer worker_odd(&backend_odd);
-  const std::vector<WorkerAddress> addresses = {
-      {"127.0.0.1", worker_even.port()}, {"127.0.0.1", worker_odd.port()}};
+  // Round-robin splits of the paper corpus into k = 2 and 3 shards, at σ
+  // where the pigeonhole σ′ = ⌈σ/k⌉ exceeds 1, so the count phase runs
+  // (unlike the σ=2 paper spec over 2 shards, where σ′=1 and phase 1 is
+  // already exact). The missing-only, bound-pruned two-phase answer must
+  // be byte-identical to both the σ′=1 router and the in-process union
+  // mine, for every algorithm, with and without a top-k cut.
+  uint64_t pruned = 0, shipped = 0, union_candidates = 0;
+  for (const size_t k : {size_t{2}, size_t{3}}) {
+    ShardCluster cluster(ShardCluster::RoundRobin(ex_.raw_db, k), ex_.vocab);
+    obs::MetricsRegistry registry;
+    RouterOptions options;
+    options.metrics = &registry;
+    RouterBackend two_phase(cluster.addresses, options);
+    RouterOptions baseline_options;
+    baseline_options.shard_sigma = 1;  // One phase: every pattern visible.
+    RouterBackend baseline(cluster.addresses, baseline_options);
 
-  RouterBackend two_phase(addresses, RouterOptions{});
-  RouterOptions legacy_options;
-  legacy_options.shard_sigma = 1;  // One phase: every pattern visible.
-  RouterBackend legacy(addresses, legacy_options);
-
-  for (Algorithm algorithm : kAllAlgorithms) {
-    TaskSpec spec = PaperSpec(algorithm);
-    spec.params.sigma = 3;
-    const MineResponse fast = two_phase.Scatter(spec);
-    const MineResponse exact = legacy.Scatter(spec);
-    EXPECT_EQ(Bytes(fast.patterns), BaselineBytes(spec))
-        << "two-phase vs in-process, algorithm " << static_cast<int>(algorithm);
-    EXPECT_EQ(Bytes(fast.patterns), Bytes(exact.patterns))
-        << "two-phase vs legacy, algorithm " << static_cast<int>(algorithm);
+    for (const Frequency sigma : {Frequency{3}, Frequency{4}, Frequency{5}}) {
+      for (Algorithm algorithm : kAllAlgorithms) {
+        for (const size_t top_k : {size_t{0}, size_t{1}, size_t{3}}) {
+          TaskSpec spec = PaperSpec(algorithm);
+          spec.params.sigma = sigma;
+          spec.top_k = top_k;
+          const MineResponse fast = two_phase.Scatter(spec);
+          const MineResponse exact = baseline.Scatter(spec);
+          const std::string where = "k=" + std::to_string(k) +
+                                    " sigma=" + std::to_string(sigma) +
+                                    " top_k=" + std::to_string(top_k) +
+                                    " algorithm " +
+                                    std::to_string(static_cast<int>(algorithm));
+          EXPECT_EQ(Bytes(fast.patterns), BaselineBytes(spec))
+              << "two-phase vs in-process, " << where;
+          EXPECT_EQ(Bytes(fast.patterns), Bytes(exact.patterns))
+              << "two-phase vs sigma'=1, " << where;
+        }
+      }
+    }
+    pruned += CounterValue(registry, "router.count.pruned");
+    shipped += CounterValue(registry, "router.count.patterns_shipped");
+    union_candidates += CounterValue(registry, "router.count.candidates");
   }
+  // The grid exercised both cuts: some candidate was dropped by the bound,
+  // and fewer candidate-shard counts were shipped than union candidates
+  // times shards would have been.
+  EXPECT_GT(pruned, 0u);
+  EXPECT_GT(shipped, 0u);
+  EXPECT_LT(shipped, 2 * union_candidates);
 }
 
 TEST_F(NetLoopbackTest, PigeonholeBoundIsLoadBearing) {
@@ -708,8 +762,10 @@ TEST_F(NetLoopbackTest, PigeonholeBoundIsLoadBearing) {
             found.patterns.end())
       << "the union-frequent pattern below per-shard sigma is missing";
 
-  // The count phase ran and its spans joined the trace: one router.count
-  // per worker under router.scatter, one serve.count per worker.
+  // Both shards reported every candidate ("x y" with 2 each), so the sum
+  // of the phase-1 supports is exact and the count phase sends no leg
+  // (NoCountLegWhenEveryShardReportedEveryCandidate checks the metrics;
+  // TightUpperBoundKeepsTheCandidate checks a leg's spans).
   uint64_t scatter_id = 0;
   size_t count_legs = 0, serve_counts = 0;
   for (const obs::SpanRecord& span : spans) {
@@ -723,8 +779,8 @@ TEST_F(NetLoopbackTest, PigeonholeBoundIsLoadBearing) {
     }
     if (span.name == "serve.count") ++serve_counts;
   }
-  EXPECT_EQ(count_legs, 2u);
-  EXPECT_EQ(serve_counts, 2u);
+  EXPECT_EQ(count_legs, 0u);
+  EXPECT_EQ(serve_counts, 0u);
 
   // The per-request override proves the bound is load-bearing: scattering
   // at σ′=σ=4 finds nothing on either shard, so the answer is empty — the
@@ -739,6 +795,174 @@ TEST_F(NetLoopbackTest, PigeonholeBoundIsLoadBearing) {
   pigeonhole.shard_sigma = 2;
   const MineReply same = client.Mine(pigeonhole);
   EXPECT_EQ(Bytes(same.patterns), baseline_bytes);
+}
+
+TEST_F(NetLoopbackTest, TightUpperBoundKeepsTheCandidate) {
+  // k=2, σ=4, σ′=2 (patterns have length ≥ 2). Shard a reports "x y" with
+  // support 3; shard b holds it once (below σ′, so it stays silent) and
+  // reports "z w" with 2. For "x y" the upper bound s + (k−|R|)(σ′−1) is
+  // 3 + 1·1 = 4 = σ exactly: it must be counted on b (missing-only) and
+  // kept, reaching 4. The bound of "z w", 2 + 1·1 = 3 < 4, drops it
+  // uncounted.
+  Vocabulary vocab;
+  const ItemId x = vocab.AddItem("x");
+  const ItemId y = vocab.AddItem("y");
+  const ItemId z = vocab.AddItem("z");
+  const ItemId w = vocab.AddItem("w");
+  const Database a_db = {{x, y}, {x, y}, {x, y}};
+  const Database b_db = {{x, y}, {z, w}, {z, w}};
+  Database union_db = a_db;
+  union_db.insert(union_db.end(), b_db.begin(), b_db.end());
+  Dataset u(Dataset::FromMemory(union_db, vocab));
+  ShardCluster cluster({a_db, b_db}, vocab);
+  obs::MetricsRegistry registry;
+  RouterOptions options;
+  options.metrics = &registry;
+  RouterBackend router(cluster.addresses, options);
+
+  TaskSpec spec;
+  spec.algorithm = Algorithm::kSequential;
+  spec.params = {.sigma = 4, .gamma = 0, .lambda = 2};
+  serve::MiningService service(u);
+  const serve::PendingResult pending = service.Submit(spec);
+  const serve::Response& baseline = pending.Get();
+
+  TaskSpec traced = spec;
+  traced.trace.trace_id = obs::TraceId::Make();
+  obs::Tracer::Global().StartCollecting();
+  const MineResponse found = router.Scatter(traced);
+  const std::vector<obs::SpanRecord> spans =
+      obs::Tracer::Global().TakeCollected();
+  obs::Tracer::Global().StopCollecting();
+
+  EXPECT_EQ(Bytes(found.patterns),
+            Bytes(NamePatterns(u, baseline.patterns(),
+                               baseline.run().used_flat_hierarchy)));
+  const NamedPatternList expected = {{{"x", "y"}, 4}};
+  EXPECT_EQ(found.patterns, expected)
+      << "a candidate whose upper bound equals sigma was pruned";
+
+  EXPECT_EQ(CounterValue(registry, "router.count.candidates"), 2u);
+  EXPECT_EQ(CounterValue(registry, "router.count.pruned"), 1u);
+  EXPECT_EQ(CounterValue(registry, "router.count.requests"), 1u);
+  EXPECT_EQ(CounterValue(registry, "router.count.patterns_shipped"), 1u);
+
+  // One count leg, to b only, under router.scatter and tagged with its own
+  // list size; one serve.count on the worker.
+  uint64_t scatter_id = 0;
+  for (const obs::SpanRecord& span : spans) {
+    if (span.name == "router.scatter") {
+      scatter_id = span.span_id;
+      EXPECT_EQ(TagValue(span, "candidates"), "2");
+      EXPECT_EQ(TagValue(span, "counted"), "1");
+      EXPECT_EQ(TagValue(span, "pruned"), "1");
+    }
+  }
+  ASSERT_NE(scatter_id, 0u);
+  size_t count_legs = 0, serve_counts = 0;
+  for (const obs::SpanRecord& span : spans) {
+    if (span.name == "router.count") {
+      ++count_legs;
+      EXPECT_EQ(span.parent_id, scatter_id);
+      EXPECT_EQ(TagValue(span, "candidates"), "1");
+      EXPECT_EQ(TagValue(span, "worker"),
+                "127.0.0.1:" + std::to_string(cluster.addresses[1].port));
+    }
+    if (span.name == "serve.count") {
+      ++serve_counts;
+      EXPECT_EQ(TagValue(span, "candidates"), "1");
+    }
+  }
+  EXPECT_EQ(count_legs, 1u);
+  EXPECT_EQ(serve_counts, 1u);
+}
+
+TEST_F(NetLoopbackTest, NoCountLegWhenEveryShardReportedEveryCandidate) {
+  // Both shards hold "x y" twice, so at σ=4 (σ′=2) each reports it with
+  // its exact support: the phase-1 sum is the union support, and no shard
+  // has anything left to count.
+  Vocabulary vocab;
+  const ItemId x = vocab.AddItem("x");
+  const ItemId y = vocab.AddItem("y");
+  const ItemId z = vocab.AddItem("z");
+  const Database shard_db = {{x, y}, {x, y}, {z}};
+  ShardCluster cluster({shard_db, shard_db}, vocab);
+  obs::MetricsRegistry registry;
+  RouterOptions options;
+  options.metrics = &registry;
+  RouterBackend router(cluster.addresses, options);
+
+  TaskSpec spec;
+  spec.algorithm = Algorithm::kSequential;
+  spec.params = {.sigma = 4, .gamma = 0, .lambda = 2};
+  spec.trace.trace_id = obs::TraceId::Make();
+  obs::Tracer::Global().StartCollecting();
+  const MineResponse found = router.Scatter(spec);
+  const std::vector<obs::SpanRecord> spans =
+      obs::Tracer::Global().TakeCollected();
+  obs::Tracer::Global().StopCollecting();
+
+  const NamedPatternList expected = {{{"x", "y"}, 4}};
+  EXPECT_EQ(found.patterns, expected);
+  EXPECT_EQ(CounterValue(registry, "router.count.candidates"), 1u);
+  EXPECT_EQ(CounterValue(registry, "router.count.requests"), 0u);
+  EXPECT_EQ(CounterValue(registry, "router.count.patterns_shipped"), 0u);
+  EXPECT_EQ(CounterValue(registry, "router.count.pruned"), 0u);
+  size_t count_spans = 0;
+  for (const obs::SpanRecord& span : spans) {
+    if (span.name == "router.count" || span.name == "serve.count") {
+      ++count_spans;
+    }
+  }
+  EXPECT_EQ(count_spans, 0u);
+}
+
+TEST_F(NetLoopbackTest, AbortedPhaseOneSkipsPruning) {
+  // k=2, σ=6, σ′=3, naive. Shard a holds "x y" four times, shard b holds
+  // "z w" three times. Uncapped, b reports "z w" with 3 and its bound
+  // 3 + 1·2 = 5 < 6 drops it. Every transaction emits one subsequence, so
+  // an emit cap of 2 admits exactly three transactions whatever the map
+  // order: b's answer is whole, a's is cut short ("x y" with 3 of its 4).
+  // a's silence then no longer means "fewer than σ′", so nothing may be
+  // pruned, and "z w" is counted on a instead.
+  Vocabulary vocab;
+  const ItemId x = vocab.AddItem("x");
+  const ItemId y = vocab.AddItem("y");
+  const ItemId z = vocab.AddItem("z");
+  const ItemId w = vocab.AddItem("w");
+  ShardCluster cluster(
+      {{{x, y}, {x, y}, {x, y}, {x, y}}, {{z, w}, {z, w}, {z, w}}}, vocab);
+  TaskSpec spec;
+  spec.algorithm = Algorithm::kNaive;
+  spec.params = {.sigma = 6, .gamma = 0, .lambda = 2};
+
+  {
+    obs::MetricsRegistry registry;
+    RouterOptions options;
+    options.metrics = &registry;
+    RouterBackend router(cluster.addresses, options);
+    const MineResponse complete = router.Scatter(spec);
+    EXPECT_FALSE(complete.run.aborted);
+    EXPECT_TRUE(complete.patterns.empty());
+    EXPECT_EQ(CounterValue(registry, "router.count.candidates"), 2u);
+    EXPECT_EQ(CounterValue(registry, "router.count.pruned"), 1u);
+    // "x y" is counted on b; "z w" is not counted at all.
+    EXPECT_EQ(CounterValue(registry, "router.count.patterns_shipped"), 1u);
+  }
+
+  obs::MetricsRegistry registry;
+  RouterOptions options;
+  options.metrics = &registry;
+  RouterBackend router(cluster.addresses, options);
+  TaskSpec capped = spec;
+  capped.limits.max_emitted_records = 2;
+  const MineResponse aborted = router.Scatter(capped);
+  EXPECT_TRUE(aborted.run.aborted);
+  EXPECT_TRUE(aborted.patterns.empty());
+  EXPECT_EQ(CounterValue(registry, "router.count.candidates"), 2u);
+  EXPECT_EQ(CounterValue(registry, "router.count.pruned"), 0u);
+  EXPECT_EQ(CounterValue(registry, "router.count.requests"), 2u);
+  EXPECT_EQ(CounterValue(registry, "router.count.patterns_shipped"), 2u);
 }
 
 TEST_F(NetLoopbackTest, MetricsRpcExposesServiceAndServerInstruments) {
